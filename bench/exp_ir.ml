@@ -4,20 +4,19 @@
    (one pup_dst_port_10mb filter per port, 90% of packets to three hot
    sockets at the end of the priority walk), but with the cache disabled so
    the engines themselves are what is measured: every packet pays the full
-   sequential walk under each of the three compile strategies —
+   sequential walk under each of the two compile strategies —
 
      off        interpret the stack programs as installed (the baseline
                 every previous experiment used),
-     raise      lower -> optimize -> raise, then interpret the optimized
-                stack program,
      regvm      execute the optimized register IR directly, at the
                 register-VM cost model.
 
    A second table gates the whole paper filter corpus statically: for each
-   filter, the raised program's worst-case cost bound (abstract cycles)
-   and the register VM's worst-case microseconds must not exceed the
-   original's. Either regression fails the run — that is the CI criterion
-   this experiment exists for. *)
+   filter, the raised program's worst-case cost bound (abstract cycles;
+   the lower -> optimize -> raise round trip `pftool ir` and `verify`
+   ship) and the register VM's worst-case microseconds must not exceed
+   the original's. Either regression fails the run — that is the CI
+   criterion this experiment exists for. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -135,13 +134,11 @@ let corpus_gate () =
 
 let run () =
   let off = run_mix `Off in
-  let raised = run_mix `Raise_only in
   let regvm = run_mix `Regvm in
-  if off.accepted <> n_packets || raised.accepted <> n_packets || regvm.accepted <> n_packets
-  then
+  if off.accepted <> n_packets || regvm.accepted <> n_packets then
     failwith
-      (Printf.sprintf "ir mix: accepted %d/%d/%d of %d packets" off.accepted
-         raised.accepted regvm.accepted n_packets);
+      (Printf.sprintf "ir mix: accepted %d/%d of %d packets" off.accepted
+         regvm.accepted n_packets);
   let reduction b = 100. *. (off.demux_us_per_packet -. b) /. off.demux_us_per_packet in
   print_table
     ~title:
@@ -154,29 +151,19 @@ let run () =
     [
       { metric = "demux CPU/packet, stack (off)"; paper = "n/a";
         ours = Printf.sprintf "%.0f uSec" off.demux_us_per_packet };
-      { metric = "demux CPU/packet, raised"; paper = "n/a";
-        ours = Printf.sprintf "%.0f uSec" raised.demux_us_per_packet };
       { metric = "demux CPU/packet, regvm"; paper = "n/a";
         ours = Printf.sprintf "%.0f uSec" regvm.demux_us_per_packet };
-      { metric = "reduction, raised vs stack"; paper = "n/a";
-        ours = Printf.sprintf "%.1f%%" (reduction raised.demux_us_per_packet) };
       { metric = "reduction, regvm vs stack"; paper = "n/a";
         ours = Printf.sprintf "%.1f%%" (reduction regvm.demux_us_per_packet) };
     ];
   record_metric "ir_demux_us_per_packet_stack" off.demux_us_per_packet;
-  record_metric "ir_demux_us_per_packet_raised" raised.demux_us_per_packet;
   record_metric "ir_demux_us_per_packet_regvm" regvm.demux_us_per_packet;
-  record_metric "ir_reduction_raised_pct" (reduction raised.demux_us_per_packet);
   record_metric "ir_reduction_regvm_pct" (reduction regvm.demux_us_per_packet);
   let corpus_failures = corpus_gate () in
   record_metric "ir_corpus_filters" (float_of_int (List.length corpus));
   record_metric "ir_corpus_regressions" (float_of_int (List.length corpus_failures));
   (* The CI regression gate: optimized must never cost more than
      unoptimized — on the mix or anywhere in the corpus. *)
-  if raised.demux_us_per_packet > off.demux_us_per_packet then
-    failwith
-      (Printf.sprintf "ir regression: raised demux %.1f uSec/packet > stack %.1f"
-         raised.demux_us_per_packet off.demux_us_per_packet);
   if regvm.demux_us_per_packet > off.demux_us_per_packet then
     failwith
       (Printf.sprintf "ir regression: regvm demux %.1f uSec/packet > stack %.1f"

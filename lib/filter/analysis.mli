@@ -46,7 +46,6 @@ module Interval : sig
   val const : int -> t
   val top : t
 
-  val is_const : t -> int option
   val mem : int -> t -> bool
   val equal : t -> t -> bool
 
@@ -131,7 +130,6 @@ val dead_after : t -> int option
     its last instruction: instructions [pc+1 ..] never execute. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val pp_fault : Format.formatter -> fault -> unit
 val pp_read_set : Format.formatter -> read_set -> unit
 val pp : Format.formatter -> t -> unit
 (** Multi-line lint-style report. *)

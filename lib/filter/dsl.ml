@@ -37,8 +37,3 @@ let ( <<: ) a n = Expr.Bin (Expr.Lsh, a, lit n)
 let ( >>: ) a n = Expr.Bin (Expr.Rsh, a, lit n)
 let low_byte e = e &: lit 0x00ff
 let high_byte e = e >>: 8
-
-let word32_is n v =
-  let hi = Int32.to_int (Int32.shift_right_logical v 16) land 0xffff in
-  let lo = Int32.to_int v land 0xffff in
-  word n =: lit hi &&: (word (n + 1) =: lit lo)

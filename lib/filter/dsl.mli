@@ -52,7 +52,3 @@ val low_byte : Expr.t -> Expr.t
 
 val high_byte : Expr.t -> Expr.t
 (** [e >>: 8]. *)
-
-val word32_is : int -> int32 -> Expr.t
-(** [word32_is n v] tests the 32-bit big-endian value at word offset [n]
-    (two 16-bit comparisons). *)

@@ -102,8 +102,7 @@ val check_memo : ?budget:int -> ?pair_budget:int -> Memo.t -> side -> side -> re
     counts, reasons) is cached by hash-consed candidate identity. *)
 
 (** Outcome of certifying one optimizer rewrite, shared by
-    {!Peephole.optimize_certified}, {!Regopt.optimize_certified} and
-    {!Regopt.raise_program_certified}. *)
+    {!Peephole.optimize_certified} and {!Regopt.optimize_certified}. *)
 type certification =
   | Certified  (** the rewrite is proved meaning-preserving *)
   | Refuted of Pf_pkt.Packet.t

@@ -89,8 +89,6 @@ val defs : t -> instr option array
 (** Per-register defining instruction ([None] for registers left undefined
     by optimization); index by register number. *)
 
-val pp_operand : Format.formatter -> operand -> unit
-val pp_instr : Format.formatter -> instr -> unit
 val pp : Format.formatter -> t -> unit
 (** One instruction per line, e.g.
     {v

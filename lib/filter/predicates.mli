@@ -74,10 +74,6 @@ val synthetic : length:int -> accept:bool -> Program.t
     exits with an equivalence proof. *)
 
 val naive_udp_dst_port : ?priority:int -> int -> Program.t
-val naive_pup_dst_port : ?priority:int -> host:int -> int32 -> Program.t
-val naive_pup_dst_port_10mb : ?priority:int -> host:int -> int32 -> Program.t
-val naive_vmtp_dst_entity : ?priority:int -> int32 -> Program.t
-val naive_rarp_reply_for : ?priority:int -> string -> Program.t
 
 val builtins : (string * Program.t) list
 (** The named builtin corpus: the paper's figures, every filter the example

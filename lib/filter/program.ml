@@ -13,15 +13,6 @@ let code_words t =
 
 let uses_extensions t = Array.exists Insn.is_extension t.insns
 
-let max_pushword t =
-  Array.fold_left
-    (fun acc i ->
-      match i.Insn.action with
-      | Action.Pushword n -> Some (match acc with None -> n | Some m -> max m n)
-      | Action.Nopush | Action.Pushlit _ | Action.Pushzero | Action.Pushone
-      | Action.Pushffff | Action.Pushff00 | Action.Push00ff | Action.Pushind -> acc)
-    None t.insns
-
 let equal a b =
   a.priority = b.priority
   && Array.length a.insns = Array.length b.insns

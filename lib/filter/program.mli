@@ -28,9 +28,6 @@ val uses_extensions : t -> bool
 (** True if any instruction uses a post-1987 extension (indirect push or
     arithmetic operator). *)
 
-val max_pushword : t -> int option
-(** Largest [Pushword] index referenced, if any. *)
-
 val equal : t -> t -> bool
 
 (** {1 Wire format} *)

@@ -568,25 +568,3 @@ let optimize_certified ?budget ?superopt ?seed ?memo validated =
         validated
     in
     (irrep, certification)
-
-let raise_program_certified ?budget validated =
-  let raised, report = raise_program validated in
-  let original = Validate.program validated in
-  if Program.equal raised original then
-    (* [raise_program] already fell back (or round-tripped exactly);
-       nothing changed, so there is nothing to certify. *)
-    ((raised, report), Equiv.Certified)
-  else
-    match Validate.check raised with
-    | Error _ ->
-      ((original, { report with fell_back = true }),
-       Equiv.Uncertified "raised program does not validate")
-    | Ok vraised -> (
-      match
-        Equiv.certification_of_report
-          (Equiv.check_programs ?budget validated vraised)
-      with
-      | Equiv.Certified -> ((raised, report), Equiv.Certified)
-      | Equiv.Refuted w ->
-        ((original, { report with fell_back = true }), Equiv.Refuted w)
-      | Equiv.Uncertified _ as u -> ((raised, report), u))

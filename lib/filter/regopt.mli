@@ -63,11 +63,6 @@ val optimize : Validate.t -> Ir.t * report
     renumbered densely afterwards (the [reg_count] is what {!Regvm} sizes
     its scratch file with). *)
 
-val raise_ir : Ir.t -> priority:int -> Program.t option
-(** Raise an IR back to a stack program; [None] when the replay exceeds
-    the emission budget (pathologically shared trees). The result is not
-    yet validated — {!raise_program} is the safe entry point. *)
-
 val raise_program : Validate.t -> Program.t * report
 (** The full lower → optimize → raise round trip with the never-lose
     fallback described above. The result always validates, never has more
@@ -97,9 +92,3 @@ val optimize_superopt :
     (stats, refuted candidates) exposed — what [pftool superopt] and the
     [`Regvm_super] install path report from. [equiv_budget] bounds the
     pipeline certification; [budget] is the search's proposal count. *)
-
-val raise_program_certified :
-  ?budget:int -> Validate.t -> (Program.t * report) * Equiv.certification
-(** [raise_program] under translation validation against the original
-    program. Refuted rewrites fall back to the original (with [fell_back]
-    set); a raise that already fell back certifies trivially. *)

@@ -172,8 +172,6 @@ let true_cond =
     preds = [];
   }
 
-let opaque c = c.preds <> []
-
 let equal_cond a b =
   List.length a.atoms = List.length b.atoms
   && List.for_all2 atom_equal a.atoms b.atoms
@@ -707,45 +705,3 @@ let run_ir ?(budget = default_budget) ctx (ir : Ir.t) =
     with Budget -> false
   in
   { paths = List.rev sink.acc; complete }
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec pp_exp ppf e =
-  match e.node with
-  | Nconst v -> Format.fprintf ppf "0x%04x" v
-  | Nword i -> Format.fprintf ppf "pkt[%d]" i
-  | Nind ix -> Format.fprintf ppf "pkt[%a]" pp_exp ix
-  | Nbin (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_exp a (Op.name op) pp_exp b
-
-let pp_atom ppf = function
-  | Alen (true, i) -> Format.fprintf ppf "len>%d" i
-  | Alen (false, i) -> Format.fprintf ppf "len<=%d" i
-  | Aword (cmp, t, v) ->
-      let s = match cmp with Ceq -> "=" | Cne -> "!=" | Clt -> "<" | Cge -> ">=" in
-      if t.tmask = 0xffff then
-        Format.fprintf ppf "pkt[%d]%s0x%04x" t.tword s v
-      else
-        Format.fprintf ppf "(pkt[%d]&0x%04x)%s0x%04x" t.tword t.tmask s v
-  | Apair (pol, i, j) ->
-      Format.fprintf ppf "pkt[%d]%spkt[%d]" i (if pol then "=" else "!=") j
-  | Apred (pol, Peq (a, b)) ->
-      Format.fprintf ppf "%a%s%a" pp_exp a (if pol then "=" else "!=") pp_exp b
-  | Apred (pol, Plt (a, b)) ->
-      Format.fprintf ppf "%a%s%a" pp_exp a (if pol then "<" else ">=") pp_exp b
-  | Apred (pol, Pin e) ->
-      Format.fprintf ppf "%sin-bounds(%a)" (if pol then "" else "not-") pp_exp e
-
-let pp_cond ppf c =
-  match List.rev c.atoms with
-  | [] -> Format.pp_print_string ppf "true"
-  | atoms ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " /\\ ")
-        pp_atom ppf atoms
-
-let pp_path ppf p =
-  Format.fprintf ppf "%s <- %a" (if p.accept then "accept" else "reject")
-    pp_cond p.cond

@@ -79,13 +79,6 @@ val run_ir : ?budget:int -> Ctx.t -> Ir.t -> outcome
 (** Enumerate the paths of a register-IR program ({!Ir.t} as executed by
     {!Regvm}: loads and divisions by zero reject, [Tcond] exits early). *)
 
-val true_cond : cond
-(** The empty conjunction. *)
-
-val opaque : cond -> bool
-(** Does the condition contain opaque predicates? Such a condition can be
-    checked against a packet but not always solved into one. *)
-
 val equal_cond : cond -> cond -> bool
 (** Structural equality of the atom sequences. Meaningful only for
     conditions built in the same {!Ctx.t}. *)
@@ -107,6 +100,3 @@ val solve : cond -> [ `Sat of Pf_pkt.Packet.t | `Unsat | `Unknown ]
 val satisfies : cond -> Pf_pkt.Packet.t -> bool
 (** Evaluate every atom — including opaque predicates — against a concrete
     packet. *)
-
-val pp_cond : Format.formatter -> cond -> unit
-val pp_path : Format.formatter -> path -> unit

@@ -11,9 +11,6 @@
     because the language is straight-line and every action/operator has a
     fixed stack effect (under the default [`Paper] short-circuit semantics). *)
 
-val max_code_words : int
-(** Longest accepted program, in 16-bit code words (255). *)
-
 type error =
   | Program_too_long of { code_words : int }
   | Static_underflow of { pc : int; depth : int }

@@ -33,12 +33,6 @@ val match_expr : Rule.t -> Pf_filter.Expr.t
     protocol byte, masked src/dst words, fragment-offset zero when ports
     are constrained, port range bounds. *)
 
-val chain_expr : Table.t -> Pf_filter.Expr.t
-(** The first-match fold, without the shape guard. *)
-
-val table_expr : Table.t -> Pf_filter.Expr.t
-(** [All (shape_conjuncts @ [chain_expr t])] — the whole table. *)
-
 val naive_program : ?priority:int -> Table.t -> Pf_filter.Program.t
 val optimized_program : ?priority:int -> Table.t -> Pf_filter.Program.t
 
@@ -81,6 +75,6 @@ val compile :
 (** Test-only fault injection for the differential fuzz oracle. *)
 module For_testing : sig
   val last_match_wins : bool ref
-  (** When true, {!chain_expr} folds the rules in reverse — the classic
+  (** When true, the first-match fold runs over the rules in reverse — the classic
       first-match-order bug. The oracle must catch it. *)
 end

@@ -128,7 +128,6 @@ let to_string r =
   Buffer.contents b
 
 let pp ppf r = Format.pp_print_string ppf (to_string r)
-let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
 let equal a b = a = b
 

@@ -45,7 +45,6 @@ val addr_v : int32 -> int -> addr
 val ports_v : int -> int -> ports
 (** @raise Invalid_argument unless [0 <= lo <= hi <= 65535]. *)
 
-val is_any_addr : addr -> bool
 val is_any_ports : ports -> bool
 
 val uses_ports : t -> bool
@@ -93,9 +92,6 @@ val matches : t -> Pf_pkt.Packet.t -> bool
     normally guard with {!Table.valid_shape} first, which implies all
     words exist). *)
 
-val matches_addr : addr -> int32 -> bool
-val matches_ports : ports -> int -> bool
-
 (** {1 Text form} *)
 
 val to_string : t -> string
@@ -110,5 +106,4 @@ val of_string : string -> (t, string) result
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_action : Format.formatter -> action -> unit
 val action_to_string : action -> string

@@ -19,10 +19,6 @@ val valid_shape : Pf_pkt.Packet.t -> bool
     {!Rule.min_words} words, EtherType [0x0800], IP version 4 with an
     option-less (IHL = 5) header. *)
 
-val first_match : t -> Pf_pkt.Packet.t -> int option
-(** Index (0-based) of the first matching rule of a {!valid_shape}
-    packet; [None] if the packet is malformed or no rule matches. *)
-
 val eval : t -> Pf_pkt.Packet.t -> Rule.action
 (** Malformed packets are dropped; otherwise the first matching rule's
     action, or the default. *)

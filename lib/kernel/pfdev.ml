@@ -16,14 +16,53 @@ type capture = {
   dropped_before : int;
 }
 
+(* What demultiplexing one packet did, counted as it happens; [price]
+   turns it into simulated CPU time. *)
+type work = {
+  mutable filters_run : int;
+  mutable stack_insns : int;
+  mutable regvm_applies : int;
+  mutable regvm_insns : int;
+  mutable dispatch_probes : int;
+  mutable dispatch_hash_words : int;
+  mutable cache_probes : int;
+  mutable cache_hash_words : int;
+  mutable san_accesses : int;
+  mutable timestamps : int;
+  mutable wakeups : int;
+  mutable lock_acquires : int;
+  mutable lock_wait_us : int;
+}
+
+let no_work () =
+  { filters_run = 0; stack_insns = 0; regvm_applies = 0; regvm_insns = 0;
+    dispatch_probes = 0; dispatch_hash_words = 0; cache_probes = 0;
+    cache_hash_words = 0; san_accesses = 0; timestamps = 0; wakeups = 0;
+    lock_acquires = 0; lock_wait_us = 0 }
+
+let price (c : Costs.t) w =
+  ((w.filters_run - w.regvm_applies) * c.Costs.filter_apply)
+  + (w.stack_insns * c.Costs.filter_insn)
+  + (w.regvm_applies * c.Costs.regvm_apply)
+  + (w.regvm_insns * c.Costs.regvm_insn)
+  + (w.dispatch_probes * c.Costs.dispatch_probe)
+  + (w.dispatch_hash_words * c.Costs.dispatch_hash_word)
+  + (w.cache_probes * c.Costs.cache_probe)
+  + (w.cache_hash_words * c.Costs.cache_hash_word)
+  + (w.san_accesses * c.Costs.san_access)
+  + (w.timestamps * c.Costs.timestamp)
+  + (w.wakeups * c.Costs.wakeup)
+  + (w.lock_acquires * c.Costs.lock_acquire)
+  + w.lock_wait_us
+
 type port = {
   dev : t;
   id : int;
   mutable filter : Pf_filter.Fast.t option;
   mutable regvm : Pf_filter.Regvm.t option;
-      (* When set, the sequential walk runs this instead of [filter]; the
-         stack compilation is kept alongside for the decision-tree path. *)
-  mutable engine_kind : [ `Stack | `Raised | `Regvm | `Regvm_super ];
+      (* When set, the walk runs this instead of [filter]; the stack
+         compilation is kept alongside for the status surface. *)
+  mutable engine_kind : [ `Stack | `Regvm | `Regvm_super ];
   mutable engine_applications : int;
   mutable engine_insns : int;
   mutable insns_source : int;
@@ -59,10 +98,9 @@ and t = {
   mutable ports : port list; (* sorted: priority desc, then id asc *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
-  mutable strategy : [ `Sequential | `Decision_tree | `Dispatch ];
-  mutable compile_strategy : [ `Off | `Raise_only | `Regvm | `Regvm_super ];
+  mutable strategy : [ `Sequential | `Dispatch ];
+  mutable compile_strategy : [ `Off | `Regvm | `Regvm_super ];
   mutable certify : bool; (* translation-validate install-time compilation *)
-  mutable tree : port Pf_filter.Decision.t option; (* cache; None = dirty *)
   dispatch : dispatch_state array; (* one private automaton per CPU *)
   mutable dispatch_rebuilds : int;
   mutable dispatch_classifies : int;
@@ -82,6 +120,7 @@ and t = {
   smp_lock_waits : int array; (* contended delivery-lock acquisitions per CPU *)
   smp_lock_wait_us : int array; (* spin time per CPU *)
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
+  mutable last_work : work; (* the most recent demux's record *)
 }
 
 (* The sanitizer's view of this device: every shared object registered with
@@ -111,8 +150,8 @@ and dispatch_state =
    Soundness rests on {!Pf_filter.Analysis.t.read_set}: two packets that
    agree on every read-set word (including which of those words exist) get
    the same verdict from every installed filter, so the cached acceptor
-   list is exactly what the ordered walk (or the decision tree) would have
-   produced — as long as the filter set, priorities, and walk order have
+   list is exactly what the ordered walk (or the dispatch automaton) would
+   have produced — as long as the filter set, priorities, and walk order have
    not changed since the entry was stored, which is what the invalidation
    paths guarantee. On an SMP device there is one cache per CPU — receive
    steering sends every packet of a flow to the same CPU, so the caches
@@ -162,7 +201,6 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     strategy = `Sequential;
     compile_strategy = `Off;
     certify = false;
-    tree = None;
     dispatch = Array.make n Dispatch_dirty;
     dispatch_rebuilds = 0;
     dispatch_classifies = 0;
@@ -180,6 +218,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     smp_lock_waits = Array.make n 0;
     smp_lock_wait_us = Array.make n 0;
     san = None;
+    last_work = no_work ();
   }
 
 let create engine cpu costs stats ~variant ~address ~send =
@@ -337,7 +376,6 @@ let invalidate_cache ?(cpu = 0) t =
    demux path. The occasional busier-first reordering of equal-priority
    filters (section 3.2) happens in [maybe_reorder]. *)
 let insert_port t port =
-  t.tree <- None;
   let rec ins = function
     | [] -> [ port ]
     | p :: _ as l when p.priority < port.priority || (p.priority = port.priority && p.id > port.id)
@@ -415,7 +453,6 @@ let open_port t =
 let close_port port =
   port.is_open <- false;
   port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports;
-  port.dev.tree <- None;
   san_table_write port.dev;
   invalidate_cache port.dev;
   (* Wake any blocked readers; they will notice the port is closed. *)
@@ -444,13 +481,9 @@ let install port program =
   | Error e -> Error (Invalid e)
   | Ok validated -> (
     let t = port.dev in
-    (* Compile according to the device strategy. [`Raise_only] replaces the
-       stack program with its lower→optimize→raise round trip (never worse:
-       Regopt falls back to the original otherwise), so every downstream
-       engine — including the decision tree — runs the optimized code.
-       [`Regvm] additionally compiles the optimized IR for direct register
-       execution on the sequential walk; the stack compilation is kept for
-       the decision-tree path and the status surface. *)
+    (* Compile according to the device strategy. [`Regvm] compiles the
+       optimized IR for direct register execution on the walk; the stack
+       compilation is kept for the status surface. *)
     let fast, regvm, kind, compiled_insns, certification =
       match t.compile_strategy with
       | `Off ->
@@ -460,30 +493,6 @@ let install port program =
           Pf_filter.Program.insn_count program,
           (* identity compilation: trivially meaning-preserving *)
           if t.certify then Some Pf_filter.Equiv.Certified else None )
-      | `Raise_only -> (
-        let raised, certification =
-          if t.certify then
-            let (raised, _report), cert =
-              Pf_filter.Regopt.raise_program_certified validated
-            in
-            (raised, Some cert)
-          else (fst (Pf_filter.Regopt.raise_program validated), None)
-        in
-        match Pf_filter.Validate.check raised with
-        | Ok vr ->
-          ( Pf_filter.Fast.compile vr,
-            None,
-            `Raised,
-            Pf_filter.Program.insn_count raised,
-            certification )
-        | Error _ ->
-          (* Regopt guarantees the raised program validates; defensively
-             keep the original if that invariant ever breaks. *)
-          ( Pf_filter.Fast.compile validated,
-            None,
-            `Stack,
-            Pf_filter.Program.insn_count program,
-            certification ))
       | `Regvm -> (
         let rvm = Pf_filter.Regvm.compile validated in
         let certification =
@@ -539,10 +548,8 @@ let install port program =
       Stats.incr t.stats "pf.certify.refuted"
     | Some (Pf_filter.Equiv.Uncertified _) ->
       Stats.incr t.stats "pf.certify.unknown");
-    (* Admission and the status surface use the analysis of the program the
-       sequential walk actually interprets (for [`Raise_only] the raised
-       one — its cost bound is never larger, and its read set is sound for
-       the flow cache because the verdict is preserved on every packet). *)
+    (* Admission and the status surface use the analysis of the installed
+       stack program. *)
     let analysis = Pf_filter.Fast.analysis fast in
     match t.cost_limit with
     | Some limit when analysis.Pf_filter.Analysis.cost_bound > limit ->
@@ -592,7 +599,6 @@ let set_priority port priority =
 
 let set_strategy t strategy =
   t.strategy <- strategy;
-  t.tree <- None;
   invalidate_cache t
 
 (* The compile strategy applies to future installs only: already-installed
@@ -606,13 +612,11 @@ let set_compile_strategy t strategy =
     invalidate_cache t
   end
 
-let compile_strategy t = t.compile_strategy
-
 let set_certify t certify = t.certify <- certify
 let certify t = t.certify
 
 type engine_stats = {
-  engine : [ `Stack | `Raised | `Regvm | `Regvm_super ];
+  engine : [ `Stack | `Regvm | `Regvm_super ];
   applications : int;
   insns_executed : int;
   insns_source : int;
@@ -636,11 +640,9 @@ let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
 let set_copy_all port flag =
   port.copy_all <- flag;
-  port.dev.tree <- None;
   invalidate_cache port.dev
 let set_tap port flag =
   port.tap <- flag;
-  port.dev.tree <- None;
   invalidate_cache port.dev
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
@@ -673,30 +675,16 @@ type cache_stats = {
    device-level invalidation contributes N (and at one CPU this is exactly
    the legacy count). *)
 let cache_stats t =
-  let entries = ref 0
-  and hits = ref 0
-  and misses = ref 0
-  and bypasses = ref 0
-  and invalidations = ref 0
-  and evictions = ref 0 in
-  Array.iter
-    (fun c ->
-      entries := !entries + Hashtbl.length c.table;
-      hits := !hits + c.hits;
-      misses := !misses + c.misses;
-      bypasses := !bypasses + c.bypasses;
-      invalidations := !invalidations + c.invalidations;
-      evictions := !evictions + c.evictions)
-    t.caches;
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 t.caches in
   {
     enabled = t.cache_enabled;
-    entries = !entries;
+    entries = sum (fun c -> Hashtbl.length c.table);
     capacity = t.cache_capacity;
-    hits = !hits;
-    misses = !misses;
-    bypasses = !bypasses;
-    invalidations = !invalidations;
-    evictions = !evictions;
+    hits = sum (fun c -> c.hits);
+    misses = sum (fun c -> c.misses);
+    bypasses = sum (fun c -> c.bypasses);
+    invalidations = sum (fun c -> c.invalidations);
+    evictions = sum (fun c -> c.evictions);
   }
 
 type dispatch_stats = {
@@ -715,11 +703,6 @@ let dispatch_stats t =
     candidates_run = t.dispatch_candidates;
     residual_runs = t.dispatch_residual_runs;
   }
-
-let pp_dispatch_stats ppf s =
-  Format.fprintf ppf
-    "dispatch: %d rebuilds, %d classifies, %d exact accepts, %d candidates run, %d residual runs"
-    s.rebuilds s.classifies s.exact_accepts s.candidates_run s.residual_runs
 
 let pp_cache_stats ppf s =
   Format.fprintf ppf
@@ -745,45 +728,27 @@ let enqueue port capture =
       List.iter (fun deliver -> ignore (deliver () : bool)) watchers
   end
 
-(* The merged-dispatch mode (section 7's "decision table") only preserves
-   sequential semantics when every packet goes to at most one port, so any
-   copy-all or tap port disables it. *)
-let tree_usable t = List.for_all (fun p -> (not p.copy_all) && not p.tap) t.ports
-
-let tree_of t =
-  match t.tree with
-  | Some tree -> tree
-  | None ->
-    let entries =
-      List.filter_map
-        (fun p ->
-          match p.validated with Some v when p.is_open -> Some (v, p) | Some _ | None -> None)
-        t.ports
-    in
-    let tree = Pf_filter.Decision.build entries in
-    t.tree <- Some tree;
-    tree
+(* Every open port with an installed filter, in walk order. *)
+let filtered_ports t =
+  List.filter_map
+    (fun p ->
+      match p.validated with
+      | Some v when p.is_open -> Some (v, p)
+      | Some _ | None -> None)
+    t.ports
 
 (* The whole-port-set dispatch automaton. Copy-all and tap ports are
    excluded from indexing (their multi-delivery cannot be expressed by a
    first-match winner) and fall to the rank-ordered residual walk, which
-   [demux] merges with the automaton winner by rank. *)
+   [classify_dispatch] merges with the automaton winner by rank. *)
 let dispatch_of t cpu =
   match t.dispatch.(cpu) with
   | Dispatch_built d -> d
   | Dispatch_dirty ->
-    let entries =
-      List.filter_map
-        (fun p ->
-          match p.validated with
-          | Some v when p.is_open -> Some (v, p)
-          | Some _ | None -> None)
-        t.ports
-    in
     let d =
       Pf_filter.Dispatch.build
         ~indexable:(fun p -> (not p.copy_all) && not p.tap)
-        entries
+        (filtered_ports t)
     in
     t.dispatch.(cpu) <- Dispatch_built d;
     t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
@@ -905,54 +870,130 @@ let pp_smp_stats ppf s =
     s.ncpus s.lock_acquisitions s.lock_contended s.lock_wait_total_us s.ipis;
   List.iter (fun c -> Format.fprintf ppf "@\n  %a" pp_smp_cpu_stats c) s.per_cpu
 
-let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
-  let costs = t.costs in
-  let n = Smp.ncpus t.smp in
-  if cpu < 0 || cpu >= n then invalid_arg "Pfdev.demux: no such CPU";
-  Stats.incr t.stats "pf.packets";
-  t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
-  if n > 1 then Stats.incr t.stats (Printf.sprintf "pf.smp.cpu%d.packets" cpu);
-  let arrival = Engine.now t.engine in
-  let cpu_cost = ref 0 in
-  let c = t.caches.(cpu) in
-  (* Sanitizer instrumentation. Each instrumented access is a real shadow
-     bookkeeping step on the demuxing CPU, charged at [san_access] — that
-     charge is what `bench smp --san` measures as overhead. Without an
-     attached sanitizer every branch below is dead and free. *)
+(* {1 Demultiplexing: classify, price, deliver}
+
+   [demux] is the figure 4-1 loop in three steps. A classify function per
+   strategy, behind one flow-cache probe, finds the accepting ports and
+   counts the work it did in a [work] record; [price] turns the record
+   into CPU time with the cost model; [deliver] takes the delivery lock,
+   wakes the readers and queues the packet. Every simulated microsecond
+   the demux path charges is a priced [work] field. *)
+
+let last_work t = t.last_work
+
+(* One filter application on the port's compiled engine. *)
+let run_filter w port frame =
+  let ok, insns =
+    match port.regvm with
+    | Some rvm ->
+      let ok, insns = Pf_filter.Regvm.run_counted rvm frame in
+      w.regvm_applies <- w.regvm_applies + 1;
+      w.regvm_insns <- w.regvm_insns + insns;
+      (ok, insns)
+    | None ->
+      let ok, insns = Pf_filter.Fast.run_counted (Option.get port.filter) frame in
+      w.stack_insns <- w.stack_insns + insns;
+      (ok, insns)
+  in
+  w.filters_run <- w.filters_run + 1;
+  port.engine_applications <- port.engine_applications + 1;
+  port.engine_insns <- port.engine_insns + insns;
+  ok
+
+(* Figure 4-1: apply the filters in walk order until one accepts, going on
+   past acceptors that asked for copies. Kernel-claimed packets are only
+   offered to tap ports. *)
+let classify_sequential t w ~kernel_claimed frame =
+  let rec walk acc = function
+    | [] -> List.rev acc
+    | port :: rest ->
+      if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap)
+      then walk acc rest
+      else if run_filter w port frame then
+        if port.copy_all then walk (port :: acc) rest else List.rev (port :: acc)
+      else walk acc rest
+  in
+  walk [] t.ports
+
+(* Automaton classification, then the residual walk merged by rank: walk
+   residual ports of lower rank than the automaton winner (a residual may
+   outrank it, or be copy-all and accept additionally); once every
+   remaining residual ranks past the winner, the winner — always
+   non-copy-all — takes the packet and stops the walk, exactly where the
+   sequential walk would have stopped. *)
+let classify_dispatch t w ~cpu frame =
+  let d = dispatch_of t cpu in
   (match t.san with
   | Some h ->
-    San.write h.checker ~cpu h.res_statword.(cpu);
-    San.read h.checker ~cpu h.res_table;
-    cpu_cost := !cpu_cost + (2 * costs.Costs.san_access)
+    San.read h.checker ~cpu h.res_dispatch.(cpu);
+    w.san_accesses <- w.san_accesses + 1
   | None -> ());
-  (* Probe this CPU's flow cache before any filter interpretation.
-     Kernel-claimed packets bypass it: they see a different port subset
-     (taps only), so caching their decisions under the same key would be
-     unsound. *)
+  t.dispatch_classifies <- t.dispatch_classifies + 1;
+  Stats.incr t.stats "pf.dispatch.classify";
+  let winner, dstats =
+    Pf_filter.Dispatch.classify
+      ~on_run:(fun port ~insns ->
+        w.filters_run <- w.filters_run + 1;
+        w.stack_insns <- w.stack_insns + insns;
+        port.engine_applications <- port.engine_applications + 1;
+        port.engine_insns <- port.engine_insns + insns)
+      d frame
+  in
+  w.dispatch_probes <- w.dispatch_probes + dstats.Pf_filter.Dispatch.probes;
+  w.dispatch_hash_words <- w.dispatch_hash_words + dstats.Pf_filter.Dispatch.hash_words;
+  t.dispatch_exact_accepts <-
+    t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
+  t.dispatch_candidates <-
+    t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
+  if dstats.Pf_filter.Dispatch.exact_accepts > 0 then
+    Stats.incr t.stats "pf.dispatch.exact_accept";
+  let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
+  let with_winner acc =
+    List.rev (match winner with Some (_, port) -> port :: acc | None -> acc)
+  in
+  let rec walk acc = function
+    | [] -> with_winner acc
+    | (rank, port) :: rest ->
+      if rank > winner_rank then with_winner acc
+      else if (not port.is_open) || port.filter = None then walk acc rest
+      else begin
+        t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
+        Stats.incr t.stats "pf.dispatch.residual_run";
+        if run_filter w port frame then
+          if port.copy_all then walk (port :: acc) rest else List.rev (port :: acc)
+        else walk acc rest
+      end
+  in
+  walk [] (Pf_filter.Dispatch.residuals d)
+
+(* Probe this CPU's flow cache, run the strategy's classifier on a miss,
+   and store its answer. Kernel-claimed packets bypass the cache: they see
+   a different port subset (taps only), so caching their decisions under
+   the same key would be unsound. Kernel-claimed packets also bypass the
+   automaton and take the sequential walk. *)
+let classify t w ~cpu ~kernel_claimed frame =
+  let c = t.caches.(cpu) in
+  let bypass () =
+    c.bypasses <- c.bypasses + 1;
+    Stats.incr t.stats "pf.cache.bypass";
+    `Off
+  in
   let probe =
     if not t.cache_enabled then `Off
-    else if kernel_claimed then begin
-      c.bypasses <- c.bypasses + 1;
-      Stats.incr t.stats "pf.cache.bypass";
-      `Off
-    end
+    else if kernel_claimed then bypass ()
     else begin
       if t.key_state = Dirty then refresh_key_state t;
       match t.key_state with
       | Dirty -> assert false
-      | Unusable ->
-        c.bypasses <- c.bypasses + 1;
-        Stats.incr t.stats "pf.cache.bypass";
-        `Off
+      | Unusable -> bypass ()
       | Offsets offsets -> (
         let key = cache_key offsets frame in
-        cpu_cost :=
-          !cpu_cost + costs.Costs.cache_probe
-          + (Array.length offsets * costs.Costs.cache_hash_word);
+        w.cache_probes <- w.cache_probes + 1;
+        w.cache_hash_words <- w.cache_hash_words + Array.length offsets;
         (match t.san with
         | Some h ->
           San.read h.checker ~cpu h.res_cache.(cpu);
-          cpu_cost := !cpu_cost + costs.Costs.san_access
+          w.san_accesses <- w.san_accesses + 1
         | None -> ());
         match Hashtbl.find_opt c.table key with
         | Some acceptors ->
@@ -963,234 +1004,166 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
         | None -> `Miss (key, c.generation))
     end
   in
-  let acceptors =
-    match probe with
-    | `Hit acceptors ->
-      c.hits <- c.hits + 1;
-      Stats.incr t.stats "pf.cache.hit";
+  match probe with
+  | `Hit acceptors ->
+    c.hits <- c.hits + 1;
+    Stats.incr t.stats "pf.cache.hit";
+    acceptors
+  | (`Miss _ | `Off) as probe ->
+    let acceptors =
+      match t.strategy with
+      | `Dispatch when not kernel_claimed -> classify_dispatch t w ~cpu frame
+      | `Dispatch -> classify_sequential t w ~kernel_claimed frame
+      | `Sequential ->
+        (* Busier-first reordering only makes sense for the walk; the
+           automaton is keyed on guards, not position. *)
+        maybe_reorder ~cpu t;
+        classify_sequential t w ~kernel_claimed frame
+    in
+    (match probe with
+    | `Miss (key, generation) when generation = c.generation ->
+      (* Store the decision unless something (e.g. a busier-first reorder
+         during this very walk) invalidated the cache after the key was
+         computed under the old read set. *)
+      c.misses <- c.misses + 1;
+      Stats.incr t.stats "pf.cache.miss";
+      w.cache_probes <- w.cache_probes + 1 (* insert *);
+      if Hashtbl.length c.table >= t.cache_capacity then (
+        match Queue.take_opt c.fifo with
+        | Some victim ->
+          Hashtbl.remove c.table victim;
+          c.evictions <- c.evictions + 1;
+          Stats.incr t.stats "pf.cache.eviction"
+        | None -> ());
+      Hashtbl.replace c.table key acceptors;
+      Queue.push key c.fifo;
+      (match t.san with
+      | Some h ->
+        San.write h.checker ~cpu h.res_cache.(cpu);
+        San.note_store h.checker ~cpu h.res_cache.(cpu) ~key;
+        w.san_accesses <- w.san_accesses + 1
+      | None -> ())
+    | `Miss _ ->
+      c.misses <- c.misses + 1;
+      Stats.incr t.stats "pf.cache.miss"
+    | `Off -> ());
+    acceptors
+
+(* Delivery, once classification retires at [start]: on an SMP device it
+   mutates the shared port queues, so it runs under the costed delivery
+   spinlock; classification itself touches only this CPU's private cache
+   and automaton and needs no lock. Splitting the interrupt into two CPU
+   runs is cost-neutral on one CPU (no context switch is ever charged
+   between them), which keeps the single-CPU path identical to the
+   pre-SMP accounting. The delivery run is charged what this step adds to
+   the record; the queue insert itself happens when that run retires. *)
+let deliver t w ~cpu ~start ~arrival frame acceptors =
+  let classify_us = price t.costs w in
+  w.wakeups <- 1;
+  let san_queue_write () =
+    match t.san with
+    | Some h ->
+      San.write h.checker ~cpu h.res_queue;
+      w.san_accesses <- w.san_accesses + 1
+    | None -> ()
+  in
+  if Smp.ncpus t.smp = 1 then
+    (* Single CPU: the legacy lock-free delivery. The instrumented write
+       keeps the queue resource in the sanitizer's Exclusive state, so a
+       1-CPU campaign can never report on it. *)
+    san_queue_write ()
+  else if !For_testing.skip_delivery_lock then
+    (* The seeded bug: the shared-queue insert runs bare. Verdicts and
+       queue contents are identical (the engine serializes demux events),
+       so only the sanitizer's lockset can see this. *)
+    san_queue_write ()
+  else begin
+    (* The lock covers only the queue insert (the [lock_acquire] charge);
+       the scheduler wakeup runs after release — holding a spinlock across
+       a wakeup would serialize the whole complex. *)
+    let wait = Smp.Lock.acquire ~cpu t.delivery_lock ~start ~hold:0 in
+    w.lock_acquires <- 1;
+    w.lock_wait_us <- wait;
+    san_queue_write ();
+    Smp.Lock.release t.delivery_lock ~cpu
+  end;
+  let finish =
+    Cpu.run (Smp.cpu t.smp cpu) ~owner:`Interrupt ~start
+      ~cost:(price t.costs w - classify_us)
+  in
+  Engine.schedule t.engine ~at:finish (fun () ->
       List.iter
         (fun port ->
-          port.accepted <- port.accepted + 1;
-          if port.timestamps then cpu_cost := !cpu_cost + costs.Costs.timestamp)
-        acceptors;
-      acceptors
-    | (`Miss _ | `Off) as probe ->
-      (* Busier-first reordering only matters (and only makes sense) for the
-         sequential strategy; the tree is keyed on guards, not position. *)
-      if t.strategy = `Sequential then maybe_reorder ~cpu t;
-      let acceptors = ref [] in
-      let run_port_filter port =
-        Stats.incr t.stats "pf.filters_tested";
-        let ok, insns =
-          match port.regvm with
-          | Some rvm ->
-            cpu_cost := !cpu_cost + costs.Costs.regvm_apply;
-            let ok, insns = Pf_filter.Regvm.run_counted rvm frame in
-            cpu_cost := !cpu_cost + (insns * costs.Costs.regvm_insn);
-            Stats.incr ~by:insns t.stats "pf.regvm_insns";
-            (ok, insns)
-          | None ->
-            let filter = Option.get port.filter in
-            cpu_cost := !cpu_cost + costs.Costs.filter_apply;
-            let ok, insns = Pf_filter.Fast.run_counted filter frame in
-            cpu_cost := !cpu_cost + (insns * costs.Costs.filter_insn);
-            (ok, insns)
-        in
-        Stats.incr ~by:insns t.stats "pf.filter_insns";
-        port.engine_applications <- port.engine_applications + 1;
-        port.engine_insns <- port.engine_insns + insns;
-        ok
-      in
-      let accept port =
-        port.accepted <- port.accepted + 1;
-        if port.timestamps then cpu_cost := !cpu_cost + costs.Costs.timestamp;
-        acceptors := port :: !acceptors
-      in
-      let rec apply = function
-        | [] -> ()
-        | port :: rest ->
-          if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap)
-          then apply rest
-          else if run_port_filter port then begin
-            accept port;
-            (* Stop unless this filter asked for copies to lower priorities. *)
-            if port.copy_all then apply rest
-          end
-          else apply rest
-      in
-      if t.strategy = `Decision_tree && (not kernel_claimed) && tree_usable t then begin
-        (* One guard-trie walk instead of priority-ordered interpretation;
-           verdicts are identical (property-tested in Decision). *)
-        let result, stats = Pf_filter.Decision.classify_stats (tree_of t) frame in
-        cpu_cost :=
-          !cpu_cost
-          + (stats.Pf_filter.Decision.filters_run * costs.Costs.filter_apply)
-          + (stats.Pf_filter.Decision.insns * costs.Costs.filter_insn);
-        Stats.incr ~by:stats.Pf_filter.Decision.filters_run t.stats "pf.filters_tested";
-        Stats.incr ~by:stats.Pf_filter.Decision.insns t.stats "pf.filter_insns";
-        match result with Some port -> accept port | None -> ()
-      end
-      else if t.strategy = `Dispatch && not kernel_claimed then begin
-        (* Automaton classification, then the residual walk merged by rank:
-           walk residual ports of lower rank than the automaton winner (a
-           residual may outrank it, or be copy-all and accept additionally);
-           once every remaining residual ranks past the winner, the winner —
-           always non-copy-all — takes the packet and stops the walk, exactly
-           where the sequential walk would have stopped. *)
-        let d = dispatch_of t cpu in
-        (match t.san with
-        | Some h ->
-          San.read h.checker ~cpu h.res_dispatch.(cpu);
-          cpu_cost := !cpu_cost + costs.Costs.san_access
-        | None -> ());
-        t.dispatch_classifies <- t.dispatch_classifies + 1;
-        Stats.incr t.stats "pf.dispatch.classify";
-        let winner, dstats =
-          Pf_filter.Dispatch.classify
-            ~on_run:(fun port ~insns ->
-              Stats.incr t.stats "pf.filters_tested";
-              Stats.incr ~by:insns t.stats "pf.filter_insns";
-              port.engine_applications <- port.engine_applications + 1;
-              port.engine_insns <- port.engine_insns + insns)
-            d frame
-        in
-        cpu_cost :=
-          !cpu_cost
-          + (dstats.Pf_filter.Dispatch.probes * costs.Costs.dispatch_probe)
-          + (dstats.Pf_filter.Dispatch.hash_words * costs.Costs.dispatch_hash_word)
-          + (dstats.Pf_filter.Dispatch.candidates_run * costs.Costs.filter_apply)
-          + (dstats.Pf_filter.Dispatch.insns * costs.Costs.filter_insn);
-        t.dispatch_exact_accepts <-
-          t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
-        t.dispatch_candidates <-
-          t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
-        if dstats.Pf_filter.Dispatch.exact_accepts > 0 then
-          Stats.incr t.stats "pf.dispatch.exact_accept";
-        let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
-        let deliver_winner () =
-          match winner with Some (_, port) -> accept port | None -> ()
-        in
-        let rec walk = function
-          | [] -> deliver_winner ()
-          | (rank, port) :: rest ->
-            if rank > winner_rank then deliver_winner ()
-            else if (not port.is_open) || port.filter = None then walk rest
-            else begin
-              t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-              Stats.incr t.stats "pf.dispatch.residual_run";
-              if run_port_filter port then begin
-                accept port;
-                if port.copy_all then walk rest
-              end
-              else walk rest
-            end
-        in
-        walk (Pf_filter.Dispatch.residuals d)
-      end
-      else apply t.ports;
-      let acceptors = List.rev !acceptors in
-      (match probe with
-      | `Miss (key, generation) when generation = c.generation ->
-        (* Store the decision unless something (e.g. a busier-first reorder
-           during this very walk) invalidated the cache after the key was
-           computed under the old read set. *)
-        c.misses <- c.misses + 1;
-        Stats.incr t.stats "pf.cache.miss";
-        cpu_cost := !cpu_cost + costs.Costs.cache_probe (* insert *);
-        if Hashtbl.length c.table >= t.cache_capacity then (
-          match Queue.take_opt c.fifo with
-          | Some victim ->
-            Hashtbl.remove c.table victim;
-            c.evictions <- c.evictions + 1;
-            Stats.incr t.stats "pf.cache.eviction"
-          | None -> ());
-        Hashtbl.replace c.table key acceptors;
-        Queue.push key c.fifo;
-        (match t.san with
-        | Some h ->
-          San.write h.checker ~cpu h.res_cache.(cpu);
-          San.note_store h.checker ~cpu h.res_cache.(cpu) ~key;
-          cpu_cost := !cpu_cost + costs.Costs.san_access
-        | None -> ())
-      | `Miss _ ->
-        c.misses <- c.misses + 1;
-        Stats.incr t.stats "pf.cache.miss"
-      | `Off -> ());
-      acceptors
-  in
+          let timestamp = if port.timestamps then Some arrival else None in
+          enqueue port { packet = frame; timestamp; dropped_before = port.dropped })
+        acceptors)
+
+(* The device counters one packet's work record adds up to. *)
+let account t w ~cpu =
+  if w.filters_run > 0 then begin
+    Stats.incr ~by:w.filters_run t.stats "pf.filters_tested";
+    Stats.incr ~by:(w.stack_insns + w.regvm_insns) t.stats "pf.filter_insns"
+  end;
+  if w.regvm_applies > 0 then Stats.incr ~by:w.regvm_insns t.stats "pf.regvm_insns";
+  if w.lock_acquires > 0 then Stats.incr t.stats "pf.smp.lock_acquire";
+  if w.lock_wait_us > 0 then begin
+    t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
+    t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + w.lock_wait_us;
+    Stats.incr t.stats "pf.smp.lock_contended";
+    Stats.incr ~by:w.lock_wait_us t.stats "pf.smp.lock_wait_us"
+  end;
+  Stats.incr ~by:(price t.costs w) t.stats "pf.demux_cpu_us"
+
+let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
+  let n = Smp.ncpus t.smp in
+  if cpu < 0 || cpu >= n then invalid_arg "Pfdev.demux: no such CPU";
+  Stats.incr t.stats "pf.packets";
+  t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
+  if n > 1 then Stats.incr t.stats (Printf.sprintf "pf.smp.cpu%d.packets" cpu);
+  let arrival = Engine.now t.engine in
+  let w = no_work () in
+  (* Sanitizer instrumentation. Each instrumented access is a real shadow
+     bookkeeping step on the demuxing CPU, charged at [san_access] — that
+     charge is what `bench smp --san` measures as overhead. Without an
+     attached sanitizer every such branch is dead and free. *)
+  (match t.san with
+  | Some h ->
+    San.write h.checker ~cpu h.res_statword.(cpu);
+    San.read h.checker ~cpu h.res_table;
+    w.san_accesses <- 2
+  | None -> ());
+  let acceptors = classify t w ~cpu ~kernel_claimed frame in
+  List.iter
+    (fun port ->
+      port.accepted <- port.accepted + 1;
+      if port.timestamps then w.timestamps <- w.timestamps + 1)
+    acceptors;
   let accepted = acceptors <> [] in
   if accepted then Stats.incr t.stats "pf.accepted"
   else if not kernel_claimed then Stats.incr t.stats "pf.drop.nomatch";
-  (* The filter interpretation and bookkeeping happen at interrupt level;
-     delivery (queueing + reader wakeup) completes when that CPU work
-     retires. On an SMP device delivery mutates shared port queues, so it
-     runs under the costed delivery spinlock; classification itself touches
-     only this CPU's private cache and automaton and needs no lock. The
-     split into two interrupt-owner runs is cost-neutral on one CPU (no
-     context switch is ever charged between them), which is what keeps the
-     single-CPU SMP path byte-identical to the legacy accounting. *)
-  let wake = if accepted then costs.Costs.wakeup else 0 in
-  let cpu_exec = Smp.cpu t.smp cpu in
+  (* Filter interpretation and bookkeeping happen at interrupt level;
+     delivery completes when that CPU work retires. *)
   let classify_done =
-    Cpu.run cpu_exec ~owner:`Interrupt ~start:arrival ~cost:!cpu_cost
+    Cpu.run (Smp.cpu t.smp cpu) ~owner:`Interrupt ~start:arrival ~cost:(price t.costs w)
   in
-  let finish =
-    if not accepted then classify_done
-    else begin
-      let deliver_cost = ref wake in
-      let san_queue_write () =
-        match t.san with
-        | Some h ->
-          San.write h.checker ~cpu h.res_queue;
-          deliver_cost := !deliver_cost + costs.Costs.san_access
-        | None -> ()
-      in
-      if n > 1 then
-        if !For_testing.skip_delivery_lock then
-          (* The seeded bug: the shared-queue insert runs bare. Verdicts
-             and queue contents are identical (the engine serializes demux
-             events), so only the sanitizer's lockset can see this. *)
-          san_queue_write ()
-        else begin
-          (* The lock covers only the queue insert (the [lock_acquire]
-             charge); the scheduler wakeup runs after release — holding a
-             spinlock across a wakeup would serialize the whole complex. *)
-          let wait =
-            Smp.Lock.acquire ~cpu t.delivery_lock ~start:classify_done ~hold:0
-          in
-          deliver_cost := !deliver_cost + wait + costs.Costs.lock_acquire;
-          Stats.incr t.stats "pf.smp.lock_acquire";
-          if wait > 0 then begin
-            t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
-            t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + wait;
-            Stats.incr t.stats "pf.smp.lock_contended";
-            Stats.incr ~by:wait t.stats "pf.smp.lock_wait_us"
-          end;
-          san_queue_write ();
-          Smp.Lock.release t.delivery_lock ~cpu
-        end
-      else
-        (* Single CPU: the legacy lock-free delivery. The instrumented
-           write keeps the queue resource in the sanitizer's Exclusive
-           state, so a 1-CPU campaign can never report on it. *)
-        san_queue_write ();
-      cpu_cost := !cpu_cost + !deliver_cost;
-      Cpu.run cpu_exec ~owner:`Interrupt ~start:classify_done ~cost:!deliver_cost
-    end
-  in
-  Stats.incr ~by:!cpu_cost t.stats "pf.demux_cpu_us";
-  if accepted then
-    Engine.schedule t.engine ~at:finish (fun () ->
-        List.iter
-          (fun port ->
-            let timestamp = if port.timestamps then Some arrival else None in
-            enqueue port { packet = frame; timestamp; dropped_before = port.dropped })
-          acceptors);
+  if accepted then deliver t w ~cpu ~start:classify_done ~arrival frame acceptors;
+  account t w ~cpu;
+  t.last_work <- w;
   accepted
 
 (* {1 User side} *)
 
-let copy_out_cost port bytes = Costs.copy_cost port.dev.costs ~bytes
+let syscall port =
+  Process.use_cpu port.dev.costs.Costs.syscall;
+  Stats.incr port.dev.stats "pf.syscalls"
+
+(* Copy one dequeued packet out to the reader. *)
+let copy_out port capture =
+  let copy = Costs.copy_cost port.dev.costs ~bytes:(Packet.length capture.packet) in
+  Process.use_cpu copy;
+  Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
+  Stats.incr port.dev.stats "pf.reads.delivered";
+  capture
 
 (* User-side dequeue. On a multi-CPU device the port queues are shared with
    every demuxing CPU, so the reading process (on the boot CPU) takes the
@@ -1216,12 +1189,7 @@ let locked_dequeue port =
 
 let rec read_blocking port =
   match locked_dequeue port with
-  | Some capture ->
-    let copy = copy_out_cost port (Packet.length capture.packet) in
-    Process.use_cpu copy;
-    Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
-    Stats.incr port.dev.stats "pf.reads.delivered";
-    Some capture
+  | Some capture -> Some (copy_out port capture)
   | None ->
     if not port.is_open then None
     else begin
@@ -1231,8 +1199,7 @@ let rec read_blocking port =
     end
 
 let read port =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  syscall port;
   read_blocking port
 
 (* Copy out exactly the packets that were pending when the system call ran —
@@ -1242,12 +1209,7 @@ let rec drain port acc remaining =
   if remaining = 0 then List.rev acc
   else begin
     match locked_dequeue port with
-    | Some capture ->
-      let copy = copy_out_cost port (Packet.length capture.packet) in
-      Process.use_cpu copy;
-      Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
-      Stats.incr port.dev.stats "pf.reads.delivered";
-      drain port (capture :: acc) (remaining - 1)
+    | Some capture -> drain port (copy_out port capture :: acc) (remaining - 1)
     | None -> List.rev acc
   end
 
@@ -1262,8 +1224,7 @@ let rec read_batch_blocking port =
   end
 
 let read_batch port =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  syscall port;
   read_batch_blocking port
 
 let write_one port frame =
@@ -1277,13 +1238,11 @@ let write_one port frame =
   t.send frame
 
 let write port frame =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  syscall port;
   write_one port frame
 
 let write_batch port frames =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls";
+  syscall port;
   List.iter (write_one port) frames
 
 let poll port = Queue.length port.queue
@@ -1326,26 +1285,16 @@ let status (t : t) =
       | Frame.Dix10 -> Addr.broadcast_eth);
   }
 
-let active_ports t = List.length (List.filter (fun p -> p.filter <> None) t.ports)
-
 (* Installed-filter relations, the pseudodevice's analysis status surface:
    which filters can never both accept (safe to reorder within a priority),
    and which ports are dead weight because a higher-priority filter already
    accepts everything they would (and, not being copy-all, consumes it). *)
 
-let filtered_ports t =
-  List.filter_map
-    (fun p ->
-      match p.validated with
-      | Some v when p.is_open -> Some (p, v)
-      | Some _ | None -> None)
-    t.ports
-
 let filter_relations t =
   let rec pairs = function
     | [] -> []
-    | (p, v) :: rest ->
-      List.map (fun (q, w) -> (p.id, q.id, Pf_filter.Analysis.relate v w)) rest
+    | (v, p) :: rest ->
+      List.map (fun (w, q) -> (p.id, q.id, Pf_filter.Analysis.relate v w)) rest
       @ pairs rest
   in
   pairs (filtered_ports t)
@@ -1353,10 +1302,10 @@ let filter_relations t =
 let shadowed_ports t =
   let active = filtered_ports t in
   List.filter_map
-    (fun (p, v) ->
+    (fun (v, p) ->
       let shadow =
         List.find_opt
-          (fun (q, w) ->
+          (fun (w, q) ->
             q.priority > p.priority
             && (not q.copy_all)
             &&
@@ -1365,5 +1314,5 @@ let shadowed_ports t =
             | _ -> false)
           active
       in
-      Option.map (fun (q, _) -> (p, q)) shadow)
+      Option.map (fun (_, q) -> (p, q)) shadow)
     active

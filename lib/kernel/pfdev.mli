@@ -112,17 +112,12 @@ val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
     comes from the installed program's header ({!install}). *)
 
-val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
+val set_strategy : t -> [ `Sequential | `Dispatch ] -> unit
 (** Demultiplexing strategy. [`Sequential] (the default) applies filters in
-    priority order, figure 4-1. [`Decision_tree] merges the active filters
-    into section 7's "decision table" ({!Pf_filter.Decision}) — identical
-    verdicts, fewer instructions interpreted; it silently falls back to
-    sequential while any copy-all or tap port exists (those need
-    multi-delivery, which the first-match tree cannot express).
-    [`Dispatch] compiles the whole port set into the cross-filter dispatch
-    automaton ({!Pf_filter.Dispatch}): classification cost grows with the
-    number of guard-signature {e groups}, not the number of ports. Unlike
-    the tree, it tolerates copy-all and tap ports — they simply join the
+    priority order, figure 4-1. [`Dispatch] compiles the whole port set
+    into the cross-filter dispatch automaton ({!Pf_filter.Dispatch}):
+    classification cost grows with the number of guard-signature
+    {e groups}, not the number of ports. Copy-all and tap ports join the
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
     oracle and [test_dispatch] enforce this). The automaton is rebuilt
@@ -130,23 +125,17 @@ val set_strategy : t -> [ `Sequential | `Decision_tree | `Dispatch ] -> unit
     Kernel-claimed packets bypass the automaton (taps-only delivery is a
     different port subset) and take the sequential walk. *)
 
-val set_compile_strategy :
-  t -> [ `Off | `Raise_only | `Regvm | `Regvm_super ] -> unit
+val set_compile_strategy : t -> [ `Off | `Regvm | `Regvm_super ] -> unit
 (** How {!install} compiles filters, spending the {!Pf_filter.Regopt}
     optimizing backend:
 
     - [`Off] (the default): interpret the stack program as installed — the
       paper-faithful configuration; every existing experiment is unchanged.
-    - [`Raise_only]: run the lower → optimize → raise round trip and
-      install the optimized {e stack} program, so the sequential walk, the
-      decision tree, and the status surface all see the cheaper code.
-      Never worse: {!Pf_filter.Regopt.raise_program} falls back to the
-      original when optimization does not pay.
-    - [`Regvm]: additionally execute the optimized register IR directly
-      ({!Pf_filter.Regvm}) on the sequential walk, charged at the
-      register-VM cost model ({!Pf_sim.Costs.t.regvm_insn}); the
-      decision-tree path, which merges stack programs, keeps the stack
-      compilation.
+    - [`Regvm]: execute the optimized register IR directly
+      ({!Pf_filter.Regvm}) on the sequential walk and the residual walk,
+      charged at the register-VM cost model
+      ({!Pf_sim.Costs.t.regvm_insn}). The dispatch automaton's same-slot
+      candidates still run the stack program.
     - [`Regvm_super]: [`Regvm] plus the stochastic superoptimizer
       ({!Pf_filter.Superopt.search}) at install time. The search always
       runs under translation validation — every committed rewrite is
@@ -161,39 +150,37 @@ val set_compile_strategy :
     Applies to filters installed {e after} the call; already-installed
     ports keep their engine. Verdicts are engine-independent (the fuzz
     oracle cross-checks all of them), so demultiplexing decisions do not
-    change — only their simulated cost. *)
-
-val compile_strategy : t -> [ `Off | `Raise_only | `Regvm | `Regvm_super ]
+    change — only their simulated cost. Together with the two strategies,
+    {!set_certify} and {!set_cache_enabled} this makes 2 × 3 × 2 × 2 = 24
+    settable configurations. *)
 
 val set_certify : t -> bool -> unit
 (** When enabled, {!install} translation-validates whatever the compile
     strategy produced against the installed program
     ({!Pf_filter.Equiv}): a proof increments the device stat
     ["pf.certify.proved"], a confirmed counterexample increments
-    ["pf.certify.refuted"] {e and} makes the port fall back to an
-    unoptimized engine (the raised program falls back inside
-    {!Pf_filter.Regopt.raise_program_certified}; a refuted [`Regvm]
-    compilation keeps the checked stack engine), and an inconclusive check
-    increments ["pf.certify.unknown"] and keeps the optimized form. The
-    outcome is recorded on the port ({!port_certification}). Applies to
-    installs {e after} the call. Default: off. *)
+    ["pf.certify.refuted"] {e and} makes a [`Regvm] port keep the checked
+    stack engine, and an inconclusive check increments ["pf.certify.unknown"]
+    and keeps the optimized form. The outcome is recorded on the port
+    ({!port_certification}). Applies to installs {e after} the call.
+    Default: off. *)
 
 val certify : t -> bool
 
 type engine_stats = {
-  engine : [ `Stack | `Raised | `Regvm | `Regvm_super ];
+  engine : [ `Stack | `Regvm | `Regvm_super ];
       (** how this port was compiled *)
-  applications : int;  (** sequential-walk applications of this filter *)
+  applications : int;
+      (** walk applications of this filter, plus dispatch-automaton
+          candidate runs *)
   insns_executed : int;
-      (** stack instructions (or IR instructions for [`Regvm] and
-          [`Regvm_super]) executed by those applications; the
-          decision-tree path accounts globally ("pf.filter_insns"), not
-          per port *)
+      (** instructions executed by those applications: IR instructions
+          for [`Regvm] and [`Regvm_super] walk runs, stack instructions
+          otherwise *)
   insns_source : int;  (** instructions in the program as installed *)
   insns_compiled : int;
-      (** instructions actually run per worst-case application: the raised
-          program's for [`Raised], the optimized IR's for [`Regvm] and
-          [`Regvm_super] *)
+      (** instructions actually run per worst-case application: the
+          optimized IR's for [`Regvm] and [`Regvm_super] *)
 }
 
 val port_engine_stats : port -> engine_stats option
@@ -274,7 +261,42 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     {!set_priority}, {!set_strategy}, {!set_copy_all}, {!set_tap},
     {!set_cost_limit}, and busier-first reorders that change the walk order)
     and bypassed for kernel-claimed packets or when any installed filter's
-    read set is [Unbounded]. *)
+    read set is [Unbounded].
+
+    Each call counts what it did in a {!work} record and charges the CPU
+    exactly {!price} of it: classification first, then (when a port
+    accepted) delivery. The record's sum over all calls is the
+    ["pf.demux_cpu_us"] device stat. *)
+
+(** What one {!demux} call did. Classification fills the filter, dispatch,
+    cache and timestamp fields; delivery the wakeup and lock fields; both
+    count sanitizer accesses. *)
+type work = private {
+  mutable filters_run : int;
+      (** filter applications: walk runs on either engine plus
+          dispatch-automaton candidate runs (["pf.filters_tested"]) *)
+  mutable stack_insns : int;  (** stack-program instructions executed *)
+  mutable regvm_applies : int;  (** the subset of [filters_run] on the register VM *)
+  mutable regvm_insns : int;  (** register-IR instructions executed *)
+  mutable dispatch_probes : int;  (** automaton group probes *)
+  mutable dispatch_hash_words : int;  (** packet words hashed for those probes *)
+  mutable cache_probes : int;  (** flow-cache lookups and inserts *)
+  mutable cache_hash_words : int;  (** packet words hashed into the cache key *)
+  mutable san_accesses : int;  (** instrumented accesses (0 with no sanitizer) *)
+  mutable timestamps : int;  (** [microtime] calls for timestamping ports *)
+  mutable wakeups : int;  (** 1 when a port accepted *)
+  mutable lock_acquires : int;  (** delivery-lock acquisitions (SMP only) *)
+  mutable lock_wait_us : int;  (** time spent spinning on the delivery lock *)
+}
+
+val price : Pf_sim.Costs.t -> work -> Pf_sim.Time.t
+(** CPU time of a work record under a cost model: each count times its
+    {!Pf_sim.Costs.t} constant ([filter_apply] for stack applications,
+    [regvm_apply] for register-VM ones), plus the lock wait. *)
+
+val last_work : t -> work
+(** The record of the most recent {!demux} call (all zero before the
+    first). *)
 
 (** {1 Flow-cache control and observability} *)
 
@@ -317,8 +339,6 @@ type dispatch_stats = {
 val dispatch_stats : t -> dispatch_stats
 (** Counters since device creation (also mirrored as ["pf.dispatch.*"]
     device stats); all zero unless the [`Dispatch] strategy has run. *)
-
-val pp_dispatch_stats : Format.formatter -> dispatch_stats -> unit
 
 (** {1 SMP: receive steering and per-CPU observability} *)
 
@@ -371,7 +391,6 @@ type status = {
 }
 
 val status : t -> status
-val active_ports : t -> int
 
 val filter_relations : t -> (int * int * Pf_filter.Analysis.relation) list
 (** Pairwise {!Pf_filter.Analysis.relate} over every open port with an

@@ -245,7 +245,6 @@ module Gen = struct
     done;
     { rng = Rng.create seed; flows; cdf }
 
-  let flow_count t = Array.length t.flows
   let flow t i = t.flows.(i)
   let flows t = Array.to_list t.flows
   let frame f = f.frame

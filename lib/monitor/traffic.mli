@@ -16,9 +16,6 @@ val by_protocol : t -> (string * (int * int)) list
 val by_talker : t -> (string * int) list
 (** Source address → packets sent, sorted by descending count. *)
 
-val size_histogram : t -> (int * int) list
-(** Power-of-two size buckets: (upper bound, packets). *)
-
 val report : Format.formatter -> t -> unit
 
 (** Seeded, replayable synthetic traffic: a fixed multi-flow mix (protocol
@@ -66,7 +63,6 @@ module Gen : sig
       frame size. Flow attributes and the draw stream use independent
       streams derived from [seed], so drawing never perturbs the mix. *)
 
-  val flow_count : t -> int
   val flow : t -> int -> flow
   val flows : t -> flow list
   val frame : flow -> Pf_pkt.Packet.t

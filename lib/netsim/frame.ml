@@ -3,10 +3,8 @@ module Builder = Pf_pkt.Builder
 
 type variant = Exp3 | Dix10
 
-let variant_name = function Exp3 -> "3Mb experimental Ethernet" | Dix10 -> "10Mb Ethernet"
 let header_length = function Exp3 -> 4 | Dix10 -> 14
 let max_payload = function Exp3 -> 576 | Dix10 -> 1500
-let type_word_index = function Exp3 -> 1 | Dix10 -> 6
 
 type header = { dst : Addr.t; src : Addr.t; ethertype : int }
 

@@ -14,16 +14,12 @@
 
 type variant = Exp3 | Dix10
 
-val variant_name : variant -> string
 val header_length : variant -> int
 (** Bytes: 4 or 14. *)
 
 val max_payload : variant -> int
 (** MTU in payload bytes: 576 for [Exp3] (enough for a maximal 568-byte Pup
     per section 6.4 framing), 1500 for [Dix10]. *)
-
-val type_word_index : variant -> int
-(** Packet-word offset of the type field: 1 or 6. *)
 
 type header = { dst : Addr.t; src : Addr.t; ethertype : int }
 

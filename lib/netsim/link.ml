@@ -50,7 +50,6 @@ let attach t ~addr ~rx =
   ep
 
 let set_promiscuous ep flag = ep.promiscuous <- flag
-let endpoint_addr ep = ep.addr
 
 let join_multicast ep group =
   if not (List.exists (Addr.equal group) ep.groups) then ep.groups <- group :: ep.groups

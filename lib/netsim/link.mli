@@ -29,7 +29,6 @@ val attach : t -> addr:Addr.t -> rx:(Pf_pkt.Packet.t -> unit) -> endpoint
     CPU itself). *)
 
 val set_promiscuous : endpoint -> bool -> unit
-val endpoint_addr : endpoint -> Addr.t
 
 val join_multicast : endpoint -> Addr.t -> unit
 (** Accept frames addressed to the given multicast group (§5.2: the

@@ -1,7 +1,6 @@
 type rss = {
   hash : Pf_pkt.Packet.t -> int; (* frame -> receive queue/CPU *)
   queue_rx : queue:int -> Pf_pkt.Packet.t -> unit;
-  mutable per_queue : int array; (* frames steered per queue, grown on demand *)
 }
 
 type t = {
@@ -10,7 +9,6 @@ type t = {
   endpoint : Link.endpoint;
   mutable rx : (Pf_pkt.Packet.t -> unit) option;
   mutable rss : rss option; (* multi-queue steering; wins over [rx] *)
-  mutable sent : int;
   mutable received : int;
   mutable dropped : int;
 }
@@ -19,19 +17,12 @@ let create link ~addr =
   let rec nic =
     lazy
       (let endpoint = Link.attach link ~addr ~rx:(fun frame -> deliver (Lazy.force nic) frame) in
-       { link; addr; endpoint; rx = None; rss = None; sent = 0; received = 0; dropped = 0 })
+       { link; addr; endpoint; rx = None; rss = None; received = 0; dropped = 0 })
   and deliver nic frame =
     match nic.rss with
     | Some r ->
       nic.received <- nic.received + 1;
-      let queue = r.hash frame in
-      if queue >= Array.length r.per_queue then begin
-        let grown = Array.make (queue + 1) 0 in
-        Array.blit r.per_queue 0 grown 0 (Array.length r.per_queue);
-        r.per_queue <- grown
-      end;
-      r.per_queue.(queue) <- r.per_queue.(queue) + 1;
-      r.queue_rx ~queue frame
+      r.queue_rx ~queue:(r.hash frame) frame
     | None -> (
       match nic.rx with
       | Some handler ->
@@ -47,21 +38,16 @@ let variant t = Link.variant t.link
 let set_rx t handler = t.rx <- Some handler
 
 let set_rss t ~hash ~rx =
-  t.rss <- Some { hash; queue_rx = rx; per_queue = Array.make 1 0 }
+  t.rss <- Some { hash; queue_rx = rx }
 
-let queue_frames t =
-  match t.rss with None -> [||] | Some r -> Array.copy r.per_queue
 let set_promiscuous t flag = Link.set_promiscuous t.endpoint flag
 let join_multicast t group = Link.join_multicast t.endpoint group
 let leave_multicast t group = Link.leave_multicast t.endpoint group
 
-let send_frame t frame =
-  t.sent <- t.sent + 1;
-  Link.transmit t.link ~from:t.endpoint frame
+let send_frame t frame = Link.transmit t.link ~from:t.endpoint frame
 
 let send t ~dst ~ethertype payload =
   send_frame t (Frame.encode (variant t) ~dst ~src:t.addr ~ethertype payload)
 
-let frames_sent t = t.sent
 let frames_received t = t.received
 let frames_dropped t = t.dropped

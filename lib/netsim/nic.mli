@@ -21,10 +21,6 @@ val set_rss : t -> hash:(Pf_pkt.Packet.t -> int) -> rx:(queue:int -> Pf_pkt.Pack
     steering takes precedence over the single-queue {!set_rx} handler.
     The kernel maps queues to CPUs one-to-one. *)
 
-val queue_frames : t -> int array
-(** Frames steered per receive queue so far ([[||]] when RSS is not
-    configured). *)
-
 val set_promiscuous : t -> bool -> unit
 (** Receive every frame on the segment, for network monitoring (§5.4). *)
 
@@ -41,6 +37,5 @@ val send_frame : t -> Pf_pkt.Packet.t -> unit
     where "the user presents a buffer containing a complete packet, including
     data-link header" (§3). *)
 
-val frames_sent : t -> int
 val frames_received : t -> int
 val frames_dropped : t -> int

@@ -5,7 +5,6 @@ let add_byte t v = Buffer.add_uint8 t.buf (v land 0xff)
 let add_word t v = Buffer.add_uint16_be t.buf (v land 0xffff)
 let add_word32 t v = Buffer.add_int32_be t.buf v
 let add_string t s = Buffer.add_string t.buf s
-let add_bytes t b = Buffer.add_bytes t.buf b
 let add_packet t p = Buffer.add_string t.buf (Packet.to_string p)
 let length t = Buffer.length t.buf
 

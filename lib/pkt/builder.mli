@@ -16,7 +16,6 @@ val add_word : t -> int -> unit
 
 val add_word32 : t -> int32 -> unit
 val add_string : t -> string -> unit
-val add_bytes : t -> bytes -> unit
 val add_packet : t -> Packet.t -> unit
 
 val patch_word : t -> pos:int -> int -> unit

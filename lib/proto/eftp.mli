@@ -8,9 +8,6 @@
     data blocks, each individually acknowledged, a zero-length data block
     signalling end-of-file. Pup types 24-27: Data, Ack, End, Abort. *)
 
-val block_bytes : int
-(** 512. *)
-
 val t_data : int
 val t_ack : int
 val t_end : int

@@ -13,9 +13,6 @@
     (4), source pid (4), sequence (2), kind (1 = Send, 2 = Reply), one pad
     byte, then exactly 32 bytes of message. *)
 
-val message_bytes : int
-(** 32. *)
-
 type server
 
 val server :

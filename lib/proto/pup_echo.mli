@@ -10,8 +10,6 @@ val echo_me : int  (** 1 *)
 
 val im_an_echo : int  (** 2 *)
 
-val im_a_bad_echo : int  (** 3 *)
-
 val echo_socket : int32  (** 5 *)
 
 type server

@@ -113,5 +113,4 @@ let rec recv ?timeout t =
     | Some pup -> Some pup
     | None -> recv ?timeout t)
 
-let recv_batch t = List.filter_map (decode_capture t) (Pfdev.read_batch t.port)
 let close t = Pfdev.close_port t.port

@@ -45,7 +45,4 @@ val recv : ?timeout:Pf_sim.Time.t -> t -> Pup.t option
 (** Blocking receive of the next valid Pup; silently discards undecodable
     packets (counting them in host stats under ["pup.garbage"]). *)
 
-val recv_batch : t -> Pup.t list
-(** Batched receive (§3's read batching): all queued Pups in one syscall. *)
-
 val close : t -> unit

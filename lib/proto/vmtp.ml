@@ -191,7 +191,6 @@ let kengine_for host =
 type server = {
   shost : Host.t;
   sentity : int32;
-  sproc : Process.t;
   mutable srunning : bool;
   mutable count_served : int;
   sport : Pfdev.port option; (* user impl *)
@@ -248,9 +247,9 @@ let user_server host ~batch ~overhead ~entity ~handler =
         | None -> ()
     done
   in
-  let proc = Host.spawn host ~name:"vmtp-server" body in
+  ignore (Host.spawn host ~name:"vmtp-server" body : Process.t);
   let s =
-    { shost = host; sentity = entity; sproc = proc; srunning = true; count_served = 0;
+    { shost = host; sentity = entity; srunning = true; count_served = 0;
       sport = Some port }
   in
   srv := Some s;
@@ -294,10 +293,9 @@ let kernel_server host ~entity ~handler =
         List.iter (fun f -> Pf_net.Nic.send_frame (Host.nic host) f) frames
     done
   in
-  let proc = Host.spawn host ~name:"vmtp-kserver" body in
+  ignore (Host.spawn host ~name:"vmtp-kserver" body : Process.t);
   let s =
-    { shost = host; sentity = entity; sproc = proc; srunning = true; count_served = 0;
-      sport = None }
+    { shost = host; sentity = entity; srunning = true; count_served = 0; sport = None }
   in
   srv := Some s;
   s
@@ -306,8 +304,6 @@ let server ?(user_overhead = default_user_overhead) host impl ~entity ~handler =
   match impl with
   | User { batch } -> user_server host ~batch ~overhead:user_overhead ~entity ~handler
   | Kernel -> kernel_server host ~entity ~handler
-
-let server_process s = s.sproc
 
 let stop_server s =
   s.srunning <- false;

@@ -49,7 +49,6 @@ val server :
 (** Spawns the server's user process, which loops receiving requests and
     answering with [handler]. *)
 
-val server_process : server -> Pf_sim.Process.t
 val stop_server : server -> unit
 val requests_served : server -> int
 

@@ -15,5 +15,3 @@ let rec signal t v =
 let broadcast t v =
   let rec go n = if signal t v then go (n + 1) else n in
   go 0
-
-let has_waiters t = not (Queue.is_empty t.waiters)

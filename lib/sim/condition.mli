@@ -17,6 +17,3 @@ val signal : 'a t -> 'a -> bool
 
 val broadcast : 'a t -> 'a -> int
 (** Wake every live waiter; returns how many were woken. *)
-
-val has_waiters : 'a t -> bool
-(** Conservative: may report true for waiters that already timed out. *)

@@ -147,8 +147,6 @@ let register t ~name ~discipline =
   t.resources <- r :: t.resources;
   r
 
-let resource_name r = r.name
-
 let registry t =
   List.rev_map (fun r -> (r.name, r.discipline)) t.resources
 

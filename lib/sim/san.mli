@@ -57,7 +57,6 @@ val ncpus : t -> int
 (** {1 The shared-resource registry} *)
 
 val register : t -> name:string -> discipline:discipline -> resource
-val resource_name : resource -> string
 val registry : t -> (string * discipline) list
 (** Registration order. *)
 

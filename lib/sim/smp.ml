@@ -122,14 +122,6 @@ module Lock = struct
     | Double_release _ -> "double-release"
     | Release_by_non_owner _ -> "release-by-non-owner"
 
-  let pp_misuse ppf m =
-    match m with
-    | Reentrant_acquire cpu ->
-      Format.fprintf ppf "reentrant acquire by cpu %d" cpu
-    | Double_release cpu -> Format.fprintf ppf "double release by cpu %d" cpu
-    | Release_by_non_owner { cpu; owner } ->
-      Format.fprintf ppf "release by cpu %d of a lock owned by cpu %d" cpu owner
-
   let flag l ~cpu m =
     l.misuses <- m :: l.misuses;
     match l.smp.san with

@@ -94,9 +94,6 @@ module Lock : sig
 
   val misuses : lock -> misuse list
   (** Detected misuses in detection order. *)
-
-  val misuse_name : misuse -> string
-  val pp_misuse : Format.formatter -> misuse -> unit
 end
 
 type lock = Lock.lock

@@ -156,7 +156,7 @@ let test_fieldmatch_false_positives () =
   Alcotest.(check bool) "NIT accepts the impostor" true (Fieldmatch.matches nit impostor);
   Alcotest.(check bool) "CSPF rejects the impostor" false (Interp.accepts cspf impostor)
 
-(* {1 Decision-tree demultiplexing in the pseudodevice} *)
+(* {1 Dispatch-automaton demultiplexing in the pseudodevice} *)
 
 let mk_world () =
   let eng = Engine.create () in
@@ -165,9 +165,9 @@ let mk_world () =
   let b = Host.create ~costs:Pf_sim.Costs.free link ~name:"b" ~addr:(Addr.exp 2) in
   (eng, a, b)
 
-let test_pfdev_decision_tree_equivalent () =
-  (* Same traffic, sequential vs decision-tree demux: identical delivery,
-     fewer instructions interpreted. *)
+let test_pfdev_dispatch_equivalent () =
+  (* Same traffic, sequential vs dispatch-automaton demux: identical
+     delivery, fewer instructions interpreted. *)
   let run strategy =
     let eng, alice, bob = mk_world () in
     Pfdev.set_strategy (Host.pf bob) strategy;
@@ -201,17 +201,18 @@ let test_pfdev_decision_tree_equivalent () =
     (Array.to_list counts, Pf_sim.Stats.get (Host.stats bob) "pf.filter_insns")
   in
   let seq_counts, seq_insns = run `Sequential in
-  let tree_counts, tree_insns = run `Decision_tree in
-  Alcotest.(check (list int)) "identical delivery" seq_counts tree_counts;
+  let auto_counts, auto_insns = run `Dispatch in
+  Alcotest.(check (list int)) "identical delivery" seq_counts auto_counts;
   Alcotest.(check bool)
-    (Printf.sprintf "tree interprets less (%d < %d)" tree_insns seq_insns)
-    true (tree_insns < seq_insns)
+    (Printf.sprintf "automaton interprets less (%d < %d)" auto_insns seq_insns)
+    true (auto_insns < seq_insns)
 
-let test_pfdev_decision_tree_falls_back_with_tap () =
-  (* A copy-all monitor port forces the sequential path; deliveries must
-     still be correct (monitor + owner both get the packet). *)
+let test_pfdev_dispatch_with_copy_all () =
+  (* A copy-all monitor port joins the automaton's residual walk;
+     deliveries must still be correct (monitor + owner both get the
+     packet). *)
   let eng, alice, bob = mk_world () in
-  Pfdev.set_strategy (Host.pf bob) `Decision_tree;
+  Pfdev.set_strategy (Host.pf bob) `Dispatch;
   let mon = Pfdev.open_port (Host.pf bob) in
   (match Pfdev.set_filter mon (Program.with_priority Predicates.accept_all 100) with
   | Ok () -> ()
@@ -349,10 +350,10 @@ let suite =
       Alcotest.test_case "fieldmatch masked" `Quick test_fieldmatch_masked;
       Alcotest.test_case "fieldmatch expressibility" `Quick test_fieldmatch_expressible;
       Alcotest.test_case "NIT false positives vs CSPF" `Quick test_fieldmatch_false_positives;
-      Alcotest.test_case "pfdev decision tree = sequential" `Quick
-        test_pfdev_decision_tree_equivalent;
-      Alcotest.test_case "pfdev tree falls back for copy-all" `Quick
-        test_pfdev_decision_tree_falls_back_with_tap;
+      Alcotest.test_case "pfdev dispatch = sequential" `Quick
+        test_pfdev_dispatch_equivalent;
+      Alcotest.test_case "pfdev dispatch keeps copy-all" `Quick
+        test_pfdev_dispatch_with_copy_all;
       Alcotest.test_case "pup echo ping" `Quick test_pup_echo_ping;
       Alcotest.test_case "pup echo no server" `Quick test_pup_echo_no_server;
       Alcotest.test_case "vmtp recovers from drops" `Quick test_vmtp_recovers_from_drops;

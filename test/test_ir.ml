@@ -199,12 +199,9 @@ let test_pfdev_strategies () =
     (verdicts, Option.get (Pfdev.port_engine_stats port), stats)
   in
   let v_off, s_off, _ = run `Off in
-  let v_raise, s_raise, _ = run `Raise_only in
   let v_reg, s_reg, st_reg = run `Regvm in
-  Alcotest.(check (list bool)) "raise-only verdicts agree" v_off v_raise;
   Alcotest.(check (list bool)) "regvm verdicts agree" v_off v_reg;
   Alcotest.(check bool) "off engine kind" true (s_off.Pfdev.engine = `Stack);
-  Alcotest.(check bool) "raised engine kind" true (s_raise.Pfdev.engine = `Raised);
   Alcotest.(check bool) "regvm engine kind" true (s_reg.Pfdev.engine = `Regvm);
   Alcotest.(check int) "every packet applied the filter" (List.length packets)
     s_reg.Pfdev.applications;

@@ -602,7 +602,7 @@ let test_cache_invalidation_triggers_counted () =
     Alcotest.(check bool) (name ^ " invalidates") true
       ((Pfdev.cache_stats pf).Pfdev.invalidations > before)
   in
-  bumps "set_strategy" (fun () -> Pfdev.set_strategy pf `Decision_tree);
+  bumps "set_strategy" (fun () -> Pfdev.set_strategy pf `Dispatch);
   bumps "set_copy_all" (fun () -> Pfdev.set_copy_all port true);
   bumps "set_tap" (fun () -> Pfdev.set_tap port true);
   bumps "set_cost_limit" (fun () -> Pfdev.set_cost_limit pf (Some 10_000));

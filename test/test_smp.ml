@@ -282,6 +282,99 @@ let test_gen_filters_exact () =
           (Gen.flows gen))
     (Gen.flows gen)
 
+(* {1 The work-record identity}
+
+   Every simulated microsecond demux charges is a priced field of its work
+   record: per packet, the CPU time the call consumed equals [Pfdev.price]
+   of [Pfdev.last_work] (plus the ipi_send of any invalidation broadcast a
+   busier-first reorder set off), and the records sum to
+   "pf.demux_cpu_us". Checked across every strategy, cache setting, CPU
+   count and walk engine, on a mixed generator load with a copy-all tap
+   port, uninstalled flows and kernel-claimed frames. *)
+
+let test_work_record_identity () =
+  let costs = Pf_sim.Costs.microvax_ii in
+  let run ~strategy ~cache ~ncpus ~compile =
+    let name =
+      Printf.sprintf "%s/cache %b/%d cpu/%s"
+        (match strategy with `Sequential -> "sequential" | `Dispatch -> "dispatch")
+        cache ncpus
+        (match compile with `Off -> "stack" | `Regvm | `Regvm_super -> "regvm")
+    in
+    let eng, h = mk_host ~ncpus () in
+    let pf = Host.pf h in
+    Pfdev.set_strategy pf strategy;
+    Pfdev.set_cache_enabled pf cache;
+    Pfdev.set_compile_strategy pf compile;
+    let gen = Gen.make ~seed:0x3D6E ~flows:20 ~skew:(Gen.Zipf 1.0) () in
+    let monitor = Pfdev.open_port pf in
+    set_filter_exn monitor
+      (Pf_filter.Program.with_priority (Pf_filter.Predicates.ethertype_is 0x0800) 50);
+    Pfdev.set_copy_all monitor true;
+    Pfdev.set_tap monitor true;
+    Pfdev.set_timestamps monitor true;
+    Pfdev.set_queue_limit monitor 10_000;
+    for i = 19 downto 0 do
+      (* every fifth flow has no port: its packets match nothing *)
+      if i mod 5 <> 4 then begin
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter (Gen.flow gen i));
+        Pfdev.set_queue_limit p 10_000
+      end
+    done;
+    Engine.run eng;
+    let smp = Host.smp h in
+    let busy () =
+      List.fold_left
+        (fun acc k -> acc + Pf_sim.Cpu.busy_time (Smp.cpu smp k))
+        0
+        (List.init ncpus Fun.id)
+    in
+    let total = ref 0 and filters = ref 0 and mismatches = ref [] in
+    List.iteri
+      (fun i flow ->
+        let frame = Gen.frame flow in
+        let busy0 = busy () and ipis0 = Smp.total_ipis smp in
+        ignore
+          (Pfdev.demux pf ~cpu:(Pfdev.steer pf frame) ~kernel_claimed:(i mod 7 = 3)
+             frame
+            : bool);
+        let w = Pfdev.last_work pf in
+        let priced = Pfdev.price costs w in
+        let expected =
+          priced + ((Smp.total_ipis smp - ipis0) * costs.Pf_sim.Costs.ipi_send)
+        in
+        let charged = busy () - busy0 in
+        if charged <> expected then mismatches := (i, expected, charged) :: !mismatches;
+        total := !total + priced;
+        filters := !filters + w.Pfdev.filters_run)
+      (Gen.sequence gen 600);
+    Engine.run eng;
+    Alcotest.(check (list (triple int int int)))
+      (name ^ ": every packet charged its priced record (packet, priced, charged)")
+      [] (List.rev !mismatches);
+    Alcotest.(check int)
+      (name ^ ": records sum to pf.demux_cpu_us")
+      (Stats.get (Host.stats h) "pf.demux_cpu_us")
+      !total;
+    Alcotest.(check int)
+      (name ^ ": records sum to pf.filters_tested")
+      (Stats.get (Host.stats h) "pf.filters_tested")
+      !filters
+  in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun cache ->
+          List.iter
+            (fun ncpus ->
+              List.iter
+                (fun compile -> run ~strategy ~cache ~ncpus ~compile)
+                [ `Off; `Regvm ])
+            [ 1; 2 ])
+        [ false; true ])
+    [ `Sequential; `Dispatch ]
+
 let suite =
   ( "smp",
     [
@@ -301,4 +394,6 @@ let suite =
         test_per_cpu_dispatch;
       Alcotest.test_case "generator filters accept exactly their own flow" `Quick
         test_gen_filters_exact;
+      Alcotest.test_case "demux charges exactly its priced work records" `Quick
+        test_work_record_identity;
     ] )

@@ -573,7 +573,7 @@ let test_pfdev_certify () =
       Alcotest.(check int) "pf.certify.proved incremented" (before + 1)
         (Pf_sim.Stats.get stats "pf.certify.proved");
       Pfdev.close_port port)
-    [ `Off; `Raise_only; `Regvm ];
+    [ `Off; `Regvm ];
   Alcotest.(check int) "no refutations of shipped compiles" 0
     (Pf_sim.Stats.get stats "pf.certify.refuted")
 
