@@ -40,6 +40,22 @@ let no_work () =
     cache_hash_words = 0; san_accesses = 0; timestamps = 0; wakeups = 0;
     lock_acquires = 0; lock_wait_us = 0 }
 
+let add_work a w =
+  a.filters_run <- a.filters_run + w.filters_run;
+  a.stack_insns <- a.stack_insns + w.stack_insns;
+  a.regvm_applies <- a.regvm_applies + w.regvm_applies;
+  a.regvm_insns <- a.regvm_insns + w.regvm_insns;
+  a.dispatch_probes <- a.dispatch_probes + w.dispatch_probes;
+  a.dispatch_hash_words <- a.dispatch_hash_words + w.dispatch_hash_words;
+  a.cache_probes <- a.cache_probes + w.cache_probes;
+  a.cache_hash_words <- a.cache_hash_words + w.cache_hash_words;
+  a.san_accesses <- a.san_accesses + w.san_accesses;
+  a.timestamps <- a.timestamps + w.timestamps;
+  a.wakeups <- a.wakeups + w.wakeups;
+  a.lock_acquires <- a.lock_acquires + w.lock_acquires;
+  a.lock_wait_us <- a.lock_wait_us + w.lock_wait_us
+
+(* Linear in every field: a sum of records costs the sum of their prices. *)
 let price (c : Costs.t) w =
   ((w.filters_run - w.regvm_applies) * c.Costs.filter_apply)
   + (w.stack_insns * c.Costs.filter_insn)
@@ -101,12 +117,6 @@ and t = {
   mutable strategy : [ `Sequential | `Dispatch ];
   mutable compile_strategy : [ `Off | `Regvm | `Regvm_super ];
   mutable certify : bool; (* translation-validate install-time compilation *)
-  dispatch : dispatch_state array; (* one private automaton per CPU *)
-  mutable dispatch_rebuilds : int;
-  mutable dispatch_classifies : int;
-  mutable dispatch_exact_accepts : int;
-  mutable dispatch_candidates : int;
-  mutable dispatch_residual_runs : int;
   superopt_memo : Pf_filter.Equiv.Memo.t;
       (* device-wide equivalence-verdict memo: [`Regvm_super] installs of
          recurring programs (and recurring search candidates) prove once *)
@@ -114,11 +124,8 @@ and t = {
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
   mutable key_state : key_state; (* shared: derived from the filter set *)
-  caches : flow_cache array; (* one private, contention-free cache per CPU *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
-  smp_packets : int array; (* demuxed packets per CPU *)
-  smp_lock_waits : int array; (* contended delivery-lock acquisitions per CPU *)
-  smp_lock_wait_us : int array; (* spin time per CPU *)
+  cpus : percpu array;
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
   mutable last_work : work; (* the most recent demux's record *)
 }
@@ -136,58 +143,101 @@ and san_handles = {
   res_statword : San.resource array; (* per-CPU demux counters *)
 }
 
-(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}), rebuilt
-   lazily on first use after any acceptor-changing mutation — exactly the
-   flow cache's invalidation set, so [invalidate_cache] marks it dirty.
-   Each CPU owns its own instance: rebuilds are private, classification
-   touches no cross-CPU state. *)
-and dispatch_state =
-  | Dispatch_dirty
-  | Dispatch_built of port Pf_filter.Dispatch.t
-
-(* The demultiplexing flow cache: a bounded table from the packet bytes at
-   the installed filters' union read set to the list of accepting ports.
+(* One CPU's private state: flow cache, dispatch automaton and demux
+   counters. The demultiplexing flow cache is a bounded table from the packet bytes
+   at the installed filters' union read set to the list of accepting ports.
    Soundness rests on {!Pf_filter.Analysis.t.read_set}: two packets that
    agree on every read-set word (including which of those words exist) get
    the same verdict from every installed filter, so the cached acceptor
    list is exactly what the ordered walk (or the dispatch automaton) would
    have produced — as long as the filter set, priorities, and walk order have
    not changed since the entry was stored, which is what the invalidation
-   paths guarantee. On an SMP device there is one cache per CPU — receive
-   steering sends every packet of a flow to the same CPU, so the caches
-   shard the flow space with no cross-CPU traffic — and every invalidation
-   flushes all of them (costed as an IPI broadcast). *)
-and flow_cache = {
+   paths guarantee. Receive steering sends every packet of a flow to the
+   same CPU, so the caches shard the flow space with no cross-CPU traffic,
+   and every invalidation flushes all of them (costed as an IPI broadcast).
+   The counters are the only copy of each per-packet device fact. *)
+and percpu = {
   table : (string, port list) Hashtbl.t;
   fifo : string Queue.t; (* insertion order, for capacity eviction *)
   mutable generation : int; (* bumped by every invalidation *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable bypasses : int;
-  mutable invalidations : int;
-  mutable evictions : int;
+  mutable dispatch : dispatch_state;
+  total : work; (* field-wise sum of every demux record on this CPU *)
+  mutable packets : int; mutable accepts : int;
+  mutable nomatch : int; (* neither accepted nor kernel-claimed *)
+  (* flow cache; [flushes] counts invalidations of this CPU's cache *)
+  mutable hits : int; mutable misses : int; mutable bypasses : int;
+  mutable evictions : int; mutable flushes : int;
+  (* dispatch automaton *)
+  mutable classifies : int; mutable exact_accepts : int; mutable candidates : int;
+  mutable residual_runs : int; mutable rebuilds : int;
+  mutable lock_waits : int; (* contended delivery-lock acquisitions *)
+  mutable reader_locks : int; (* readers' dequeue acquisitions, once charged *)
 }
+
+(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}), rebuilt
+   lazily on first use after any acceptor-changing mutation — exactly the
+   flow cache's invalidation set, so [invalidate_cache] marks it dirty.
+   Rebuilds are private to the CPU, and classification touches no
+   cross-CPU state. *)
+and dispatch_state =
+  | Dispatch_dirty
+  | Dispatch_built of port Pf_filter.Dispatch.t
 
 and key_state =
   | Dirty (* filter set changed: recompute before the next lookup *)
   | Unusable (* some installed filter's read set is unbounded *)
   | Offsets of int array (* sorted union read set of the installed filters *)
 
-let fresh_cache () =
-  {
-    table = Hashtbl.create 64;
-    fifo = Queue.create ();
-    generation = 0;
-    hits = 0;
-    misses = 0;
-    bypasses = 0;
-    invalidations = 0;
-    evictions = 0;
-  }
+let fresh_percpu () =
+  { table = Hashtbl.create 64; fifo = Queue.create (); generation = 0;
+    dispatch = Dispatch_dirty; total = no_work (); packets = 0; accepts = 0;
+    nomatch = 0; hits = 0; misses = 0; bypasses = 0; evictions = 0; flushes = 0;
+    classifies = 0; exact_accepts = 0; candidates = 0; residual_runs = 0;
+    rebuilds = 0; lock_waits = 0; reader_locks = 0 }
+
+let sum_cpus t f = Array.fold_left (fun acc c -> acc + f c) 0 t.cpus
+
+(* The device's share of the ["pf.*"] keys the per-CPU counters hold. A
+   [count] key exists once it is positive; a [derive]d one once its
+   [present] count is, possibly at value 0. *)
+let derive_stats t =
+  let sum f = sum_cpus t f in
+  let positive v = if v > 0 then Some v else None in
+  let count name f = Stats.derive t.stats name (fun () -> positive (sum f)) in
+  let derive name ~present value =
+    Stats.derive t.stats name (fun () -> if sum present > 0 then Some (sum value) else None)
+  in
+  count "pf.packets" (fun c -> c.packets);
+  count "pf.accepted" (fun c -> c.accepts);
+  count "pf.drop.nomatch" (fun c -> c.nomatch);
+  count "pf.cache.hit" (fun c -> c.hits);
+  count "pf.cache.miss" (fun c -> c.misses);
+  count "pf.cache.bypass" (fun c -> c.bypasses);
+  count "pf.cache.eviction" (fun c -> c.evictions);
+  count "pf.dispatch.rebuild" (fun c -> c.rebuilds);
+  count "pf.dispatch.classify" (fun c -> c.classifies);
+  count "pf.dispatch.exact_accept" (fun c -> c.exact_accepts);
+  count "pf.dispatch.residual_run" (fun c -> c.residual_runs);
+  count "pf.smp.lock_contended" (fun c -> c.lock_waits);
+  count "pf.smp.lock_wait_us" (fun c -> c.total.lock_wait_us);
+  count "pf.smp.lock_acquire" (fun c -> c.total.lock_acquires + c.reader_locks);
+  let filters_run c = c.total.filters_run in
+  derive "pf.filters_tested" ~present:filters_run filters_run;
+  derive "pf.filter_insns" ~present:filters_run (fun c ->
+      c.total.stack_insns + c.total.regvm_insns);
+  derive "pf.regvm_insns" ~present:(fun c -> c.total.regvm_applies) (fun c ->
+      c.total.regvm_insns);
+  derive "pf.demux_cpu_us" ~present:(fun c -> c.packets) (fun c -> price t.costs c.total);
+  if Array.length t.cpus > 1 then
+    Array.iteri
+      (fun k c ->
+        Stats.derive t.stats
+          (Printf.sprintf "pf.smp.cpu%d.packets" k)
+          (fun () -> positive c.packets))
+      t.cpus
 
 let create_smp engine smp costs stats ~variant ~address ~send =
-  let n = Smp.ncpus smp in
-  {
+  let t = {
     engine;
     smp;
     costs;
@@ -201,25 +251,19 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     strategy = `Sequential;
     compile_strategy = `Off;
     certify = false;
-    dispatch = Array.make n Dispatch_dirty;
-    dispatch_rebuilds = 0;
-    dispatch_classifies = 0;
-    dispatch_exact_accepts = 0;
-    dispatch_candidates = 0;
-    dispatch_residual_runs = 0;
     superopt_memo = Pf_filter.Equiv.Memo.create ();
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
     key_state = Dirty;
-    caches = Array.init n (fun _ -> fresh_cache ());
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
-    smp_packets = Array.make n 0;
-    smp_lock_waits = Array.make n 0;
-    smp_lock_wait_us = Array.make n 0;
+    cpus = Array.init (Smp.ncpus smp) (fun _ -> fresh_percpu ());
     san = None;
     last_work = no_work ();
   }
+  in
+  derive_stats t;
+  t
 
 let create engine cpu costs stats ~variant ~address ~send =
   create_smp engine (Smp.of_cpus engine costs [| cpu |]) costs stats ~variant ~address ~send
@@ -336,14 +380,14 @@ let invalidate_cache ?(cpu = 0) t =
   (* The dispatch automaton is sound under exactly the invariants the flow
      cache is, so the two share one invalidation set. *)
   let flush_one k =
-    t.dispatch.(k) <- Dispatch_dirty;
-    let c = t.caches.(k) in
+    let c = t.cpus.(k) in
+    c.dispatch <- Dispatch_dirty;
     c.generation <- c.generation + 1;
     if Hashtbl.length c.table > 0 then begin
       Hashtbl.reset c.table;
       Queue.clear c.fifo
     end;
-    c.invalidations <- c.invalidations + 1;
+    c.flushes <- c.flushes + 1;
     match t.san with
     | Some h ->
       (* The flush runs in CPU [k]'s logical context (its shootdown
@@ -670,12 +714,8 @@ type cache_stats = {
   evictions : int;
 }
 
-(* Aggregated over every CPU's private cache. [capacity] is per CPU;
-   [invalidations] counts flush events per cache, so at N CPUs each
-   device-level invalidation contributes N (and at one CPU this is exactly
-   the legacy count). *)
 let cache_stats t =
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 t.caches in
+  let sum = sum_cpus t in
   {
     enabled = t.cache_enabled;
     entries = sum (fun c -> Hashtbl.length c.table);
@@ -683,7 +723,7 @@ let cache_stats t =
     hits = sum (fun c -> c.hits);
     misses = sum (fun c -> c.misses);
     bypasses = sum (fun c -> c.bypasses);
-    invalidations = sum (fun c -> c.invalidations);
+    invalidations = sum (fun c -> c.flushes);
     evictions = sum (fun c -> c.evictions);
   }
 
@@ -696,12 +736,13 @@ type dispatch_stats = {
 }
 
 let dispatch_stats t =
+  let sum = sum_cpus t in
   {
-    rebuilds = t.dispatch_rebuilds;
-    classifies = t.dispatch_classifies;
-    exact_accepts = t.dispatch_exact_accepts;
-    candidates_run = t.dispatch_candidates;
-    residual_runs = t.dispatch_residual_runs;
+    rebuilds = sum (fun c -> c.rebuilds);
+    classifies = sum (fun c -> c.classifies);
+    exact_accepts = sum (fun c -> c.exact_accepts);
+    candidates_run = sum (fun c -> c.candidates);
+    residual_runs = sum (fun c -> c.residual_runs);
   }
 
 let pp_cache_stats ppf s =
@@ -742,7 +783,8 @@ let filtered_ports t =
    first-match winner) and fall to the rank-ordered residual walk, which
    [classify_dispatch] merges with the automaton winner by rank. *)
 let dispatch_of t cpu =
-  match t.dispatch.(cpu) with
+  let c = t.cpus.(cpu) in
+  match c.dispatch with
   | Dispatch_built d -> d
   | Dispatch_dirty ->
     let d =
@@ -750,9 +792,8 @@ let dispatch_of t cpu =
         ~indexable:(fun p -> (not p.copy_all) && not p.tap)
         (filtered_ports t)
     in
-    t.dispatch.(cpu) <- Dispatch_built d;
-    t.dispatch_rebuilds <- t.dispatch_rebuilds + 1;
-    Stats.incr t.stats "pf.dispatch.rebuild";
+    c.dispatch <- Dispatch_built d;
+    c.rebuilds <- c.rebuilds + 1;
     d
 
 (* Recompute the union read set of every installed filter. A port with no
@@ -834,15 +875,15 @@ let smp_stats (t : t) =
   let now = Engine.now t.engine in
   let per_cpu =
     List.init (Smp.ncpus t.smp) (fun k ->
-        let c = t.caches.(k) in
+        let c = t.cpus.(k) in
         let cpu_k = Smp.cpu t.smp k in
         {
           cpu = k;
-          packets = t.smp_packets.(k);
+          packets = c.packets;
           cache_hits = c.hits;
           cache_misses = c.misses;
-          lock_waits = t.smp_lock_waits.(k);
-          lock_wait_us = t.smp_lock_wait_us.(k);
+          lock_waits = c.lock_waits;
+          lock_wait_us = c.total.lock_wait_us;
           ipis_sent = Smp.ipis_sent t.smp k;
           ipis_received = Smp.ipis_received t.smp k;
           busy_us = Cpu.busy_time cpu_k;
@@ -923,13 +964,13 @@ let classify_sequential t w ~kernel_claimed frame =
    sequential walk would have stopped. *)
 let classify_dispatch t w ~cpu frame =
   let d = dispatch_of t cpu in
+  let c = t.cpus.(cpu) in
   (match t.san with
   | Some h ->
     San.read h.checker ~cpu h.res_dispatch.(cpu);
     w.san_accesses <- w.san_accesses + 1
   | None -> ());
-  t.dispatch_classifies <- t.dispatch_classifies + 1;
-  Stats.incr t.stats "pf.dispatch.classify";
+  c.classifies <- c.classifies + 1;
   let winner, dstats =
     Pf_filter.Dispatch.classify
       ~on_run:(fun port ~insns ->
@@ -941,12 +982,8 @@ let classify_dispatch t w ~cpu frame =
   in
   w.dispatch_probes <- w.dispatch_probes + dstats.Pf_filter.Dispatch.probes;
   w.dispatch_hash_words <- w.dispatch_hash_words + dstats.Pf_filter.Dispatch.hash_words;
-  t.dispatch_exact_accepts <-
-    t.dispatch_exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
-  t.dispatch_candidates <-
-    t.dispatch_candidates + dstats.Pf_filter.Dispatch.candidates_run;
-  if dstats.Pf_filter.Dispatch.exact_accepts > 0 then
-    Stats.incr t.stats "pf.dispatch.exact_accept";
+  c.exact_accepts <- c.exact_accepts + dstats.Pf_filter.Dispatch.exact_accepts;
+  c.candidates <- c.candidates + dstats.Pf_filter.Dispatch.candidates_run;
   let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
   let with_winner acc =
     List.rev (match winner with Some (_, port) -> port :: acc | None -> acc)
@@ -957,8 +994,7 @@ let classify_dispatch t w ~cpu frame =
       if rank > winner_rank then with_winner acc
       else if (not port.is_open) || port.filter = None then walk acc rest
       else begin
-        t.dispatch_residual_runs <- t.dispatch_residual_runs + 1;
-        Stats.incr t.stats "pf.dispatch.residual_run";
+        c.residual_runs <- c.residual_runs + 1;
         if run_filter w port frame then
           if port.copy_all then walk (port :: acc) rest else List.rev (port :: acc)
         else walk acc rest
@@ -972,10 +1008,9 @@ let classify_dispatch t w ~cpu frame =
    the same key would be unsound. Kernel-claimed packets also bypass the
    automaton and take the sequential walk. *)
 let classify t w ~cpu ~kernel_claimed frame =
-  let c = t.caches.(cpu) in
+  let c = t.cpus.(cpu) in
   let bypass () =
     c.bypasses <- c.bypasses + 1;
-    Stats.incr t.stats "pf.cache.bypass";
     `Off
   in
   let probe =
@@ -1007,7 +1042,6 @@ let classify t w ~cpu ~kernel_claimed frame =
   match probe with
   | `Hit acceptors ->
     c.hits <- c.hits + 1;
-    Stats.incr t.stats "pf.cache.hit";
     acceptors
   | (`Miss _ | `Off) as probe ->
     let acceptors =
@@ -1026,14 +1060,12 @@ let classify t w ~cpu ~kernel_claimed frame =
          during this very walk) invalidated the cache after the key was
          computed under the old read set. *)
       c.misses <- c.misses + 1;
-      Stats.incr t.stats "pf.cache.miss";
       w.cache_probes <- w.cache_probes + 1 (* insert *);
       if Hashtbl.length c.table >= t.cache_capacity then (
         match Queue.take_opt c.fifo with
         | Some victim ->
           Hashtbl.remove c.table victim;
-          c.evictions <- c.evictions + 1;
-          Stats.incr t.stats "pf.cache.eviction"
+          c.evictions <- c.evictions + 1
         | None -> ());
       Hashtbl.replace c.table key acceptors;
       Queue.push key c.fifo;
@@ -1043,9 +1075,7 @@ let classify t w ~cpu ~kernel_claimed frame =
         San.note_store h.checker ~cpu h.res_cache.(cpu) ~key;
         w.san_accesses <- w.san_accesses + 1
       | None -> ())
-    | `Miss _ ->
-      c.misses <- c.misses + 1;
-      Stats.incr t.stats "pf.cache.miss"
+    | `Miss _ -> c.misses <- c.misses + 1
     | `Off -> ());
     acceptors
 
@@ -1098,28 +1128,11 @@ let deliver t w ~cpu ~start ~arrival frame acceptors =
           enqueue port { packet = frame; timestamp; dropped_before = port.dropped })
         acceptors)
 
-(* The device counters one packet's work record adds up to. *)
-let account t w ~cpu =
-  if w.filters_run > 0 then begin
-    Stats.incr ~by:w.filters_run t.stats "pf.filters_tested";
-    Stats.incr ~by:(w.stack_insns + w.regvm_insns) t.stats "pf.filter_insns"
-  end;
-  if w.regvm_applies > 0 then Stats.incr ~by:w.regvm_insns t.stats "pf.regvm_insns";
-  if w.lock_acquires > 0 then Stats.incr t.stats "pf.smp.lock_acquire";
-  if w.lock_wait_us > 0 then begin
-    t.smp_lock_waits.(cpu) <- t.smp_lock_waits.(cpu) + 1;
-    t.smp_lock_wait_us.(cpu) <- t.smp_lock_wait_us.(cpu) + w.lock_wait_us;
-    Stats.incr t.stats "pf.smp.lock_contended";
-    Stats.incr ~by:w.lock_wait_us t.stats "pf.smp.lock_wait_us"
-  end;
-  Stats.incr ~by:(price t.costs w) t.stats "pf.demux_cpu_us"
-
 let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
   let n = Smp.ncpus t.smp in
   if cpu < 0 || cpu >= n then invalid_arg "Pfdev.demux: no such CPU";
-  Stats.incr t.stats "pf.packets";
-  t.smp_packets.(cpu) <- t.smp_packets.(cpu) + 1;
-  if n > 1 then Stats.incr t.stats (Printf.sprintf "pf.smp.cpu%d.packets" cpu);
+  let c = t.cpus.(cpu) in
+  c.packets <- c.packets + 1;
   let arrival = Engine.now t.engine in
   let w = no_work () in
   (* Sanitizer instrumentation. Each instrumented access is a real shadow
@@ -1139,15 +1152,16 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
       if port.timestamps then w.timestamps <- w.timestamps + 1)
     acceptors;
   let accepted = acceptors <> [] in
-  if accepted then Stats.incr t.stats "pf.accepted"
-  else if not kernel_claimed then Stats.incr t.stats "pf.drop.nomatch";
+  if accepted then c.accepts <- c.accepts + 1
+  else if not kernel_claimed then c.nomatch <- c.nomatch + 1;
   (* Filter interpretation and bookkeeping happen at interrupt level;
      delivery completes when that CPU work retires. *)
   let classify_done =
     Cpu.run (Smp.cpu t.smp cpu) ~owner:`Interrupt ~start:arrival ~cost:(price t.costs w)
   in
   if accepted then deliver t w ~cpu ~start:classify_done ~arrival frame acceptors;
-  account t w ~cpu;
+  add_work c.total w;
+  if w.lock_wait_us > 0 then c.lock_waits <- c.lock_waits + 1;
   t.last_work <- w;
   accepted
 
@@ -1177,7 +1191,7 @@ let locked_dequeue port =
         ~hold:0
     in
     Process.use_cpu (wait + t.costs.Costs.lock_acquire);
-    Stats.incr t.stats "pf.smp.lock_acquire";
+    t.cpus.(0).reader_locks <- t.cpus.(0).reader_locks + 1;
     let capture = Queue.take_opt port.queue in
     (match t.san with
     | Some h -> San.write h.checker ~cpu:0 h.res_queue

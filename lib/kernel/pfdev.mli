@@ -265,8 +265,8 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
 
     Each call counts what it did in a {!work} record and charges the CPU
     exactly {!price} of it: classification first, then (when a port
-    accepted) delivery. The record's sum over all calls is the
-    ["pf.demux_cpu_us"] device stat. *)
+    accepted) delivery. The ["pf.*"] keys of what it counts are derived from
+    typed per-CPU counters; ["pf.demux_cpu_us"] is the price of their sum. *)
 
 (** What one {!demux} call did. Classification fills the filter, dispatch,
     cache and timestamp fields; delivery the wakeup and lock fields; both
@@ -337,8 +337,8 @@ type dispatch_stats = {
 }
 
 val dispatch_stats : t -> dispatch_stats
-(** Counters since device creation (also mirrored as ["pf.dispatch.*"]
-    device stats); all zero unless the [`Dispatch] strategy has run. *)
+(** Counters since device creation; all zero unless the [`Dispatch]
+    strategy has run. *)
 
 (** {1 SMP: receive steering and per-CPU observability} *)
 
@@ -373,8 +373,8 @@ type smp_stats = {
 }
 
 val smp_stats : t -> smp_stats
-(** Per-CPU counters (also mirrored as ["pf.smp.*"] device stats when the
-    device has more than one CPU). Meaningful but degenerate on a
+(** Per-CPU counters, the same ones {!cache_stats}, {!dispatch_stats} and
+    the ["pf.*"] device stats read. Meaningful but degenerate on a
     single-CPU device: one row, no locks, no IPIs. *)
 
 val pp_smp_stats : Format.formatter -> smp_stats -> unit

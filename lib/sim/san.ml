@@ -113,11 +113,14 @@ let create ?stats ~ncpus () =
 
 let ncpus t = t.ncpus
 
+(* Each ["pf.san.*"] stats key is derived from its count when created. *)
 let count t key =
-  (match Hashtbl.find_opt t.counts key with
+  match Hashtbl.find_opt t.counts key with
   | Some r -> incr r
-  | None -> Hashtbl.add t.counts key (ref 1));
-  match t.stats with Some s -> Stats.incr s ("pf.san." ^ key) | None -> ()
+  | None ->
+    let r = ref 1 in
+    Hashtbl.add t.counts key r;
+    Option.iter (fun s -> Stats.derive s ("pf.san." ^ key) (fun () -> Some !r)) t.stats
 
 let counters t =
   Hashtbl.fold (fun k r acc -> ("pf.san." ^ k, !r) :: acc) t.counts []

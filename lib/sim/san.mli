@@ -49,8 +49,8 @@ type discipline =
 
 val create : ?stats:Stats.t -> ncpus:int -> unit -> t
 (** A fresh checker for an [ncpus]-CPU complex. When [stats] is given,
-    every counter is mirrored there under ["pf.san.*"] keys (the surface
-    [pfmon] and [pftool smp --san] print). *)
+    every counter is also readable there as a derived ["pf.san.*"] key
+    ({!Stats.derive}; the surface [pfmon] and [pftool smp --san] print). *)
 
 val ncpus : t -> int
 

@@ -1,20 +1,29 @@
-type t = (string, int ref) Hashtbl.t
+type entry = Count of int ref | Derived of (unit -> int option)
+type t = (string, entry) Hashtbl.t
 
 let create () = Hashtbl.create 32
 
 let incr ?(by = 1) t key =
   match Hashtbl.find_opt t key with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t key (ref by)
+  | Some (Count r) -> r := !r + by
+  | Some (Derived _) -> invalid_arg ("Stats.incr: derived key " ^ key)
+  | None -> Hashtbl.add t key (Count (ref by))
 
-let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
-let reset t = Hashtbl.reset t
+let derive t key f =
+  match Hashtbl.find_opt t key with
+  | None -> Hashtbl.add t key (Derived f)
+  | Some (Derived g) ->
+    let sum () =
+      match (g (), f ()) with None, v | v, None -> v | Some a, Some b -> Some (a + b)
+    in
+    Hashtbl.replace t key (Derived sum)
+  | Some (Count _) -> invalid_arg ("Stats.derive: pushed key " ^ key)
+
+let value = function Count r -> Some !r | Derived f -> f ()
+
+let get t key =
+  match Hashtbl.find_opt t key with Some e -> Option.value (value e) ~default:0 | None -> 0
 
 let pairs t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
+  Hashtbl.fold (fun k e acc -> match value e with Some v -> (k, v) :: acc | None -> acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@," k v) (pairs t);
-  Format.fprintf ppf "@]"

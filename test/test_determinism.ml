@@ -114,12 +114,26 @@ let test_packet_pp () =
   Alcotest.(check bool) ("summary has length: " ^ s) true (Testutil.contains s "12B");
   Alcotest.(check bool) "summary elides" true (Testutil.contains s "...")
 
-let test_stats_reset () =
-  let s = Pf_sim.Stats.create () in
-  Pf_sim.Stats.incr s "x";
-  Pf_sim.Stats.reset s;
-  Alcotest.(check int) "cleared" 0 (Pf_sim.Stats.get s "x");
-  Alcotest.(check (list (pair string int))) "empty" [] (Pf_sim.Stats.pairs s)
+let test_stats_derive () =
+  let module Stats = Pf_sim.Stats in
+  let s = Stats.create () in
+  let a = ref None and b = ref None in
+  Stats.incr s "pushed" ~by:0;
+  Stats.derive s "derived" (fun () -> !a);
+  Stats.derive s "derived" (fun () -> !b);
+  Alcotest.(check (list (pair string int))) "absent until a derivation exists"
+    [ ("pushed", 0) ] (Stats.pairs s);
+  a := Some 0;
+  Alcotest.(check (list (pair string int))) "present at zero"
+    [ ("derived", 0); ("pushed", 0) ] (Stats.pairs s);
+  a := Some 3;
+  b := Some 4;
+  Alcotest.(check int) "derivations sum" 7 (Stats.get s "derived");
+  Alcotest.check_raises "a derived key has no pusher"
+    (Invalid_argument "Stats.incr: derived key derived") (fun () -> Stats.incr s "derived");
+  Alcotest.check_raises "a pushed key cannot be derived"
+    (Invalid_argument "Stats.derive: pushed key pushed") (fun () ->
+      Stats.derive s "pushed" (fun () -> None))
 
 let test_engine_pending () =
   let eng = Engine.create () in
@@ -138,6 +152,6 @@ let suite =
       Alcotest.test_case "cpu accounting" `Quick test_cpu_accounting;
       Alcotest.test_case "time pp" `Quick test_time_pp;
       Alcotest.test_case "packet pp" `Quick test_packet_pp;
-      Alcotest.test_case "stats reset" `Quick test_stats_reset;
+      Alcotest.test_case "stats derived keys" `Quick test_stats_derive;
       Alcotest.test_case "engine pending" `Quick test_engine_pending;
     ] )

@@ -41,6 +41,56 @@ let drive ?ncpus ~seed ~flows ~skew ~packets () =
   Engine.run eng;
   (eng, h, pf)
 
+(* Every counter view reads the same per-CPU counters: on a host, each
+   ["pf.*"] key equals the sum over the host's devices of the matching
+   [cache_stats] / [dispatch_stats] / [smp_stats] field. *)
+let check_views name stats devices =
+  let sum f = List.fold_left (fun acc pf -> acc + f pf) 0 devices in
+  let per_cpu f pf =
+    List.fold_left (fun acc c -> acc + f c) 0 (Pfdev.smp_stats pf).Pfdev.per_cpu
+  in
+  let cache f pf = f (Pfdev.cache_stats pf) and dispatch f pf = f (Pfdev.dispatch_stats pf) in
+  let ncpus = match devices with pf :: _ -> Pfdev.ncpus pf | [] -> 1 in
+  let cpu_keys =
+    if ncpus = 1 then []
+    else
+      List.init ncpus (fun k ->
+          ( Printf.sprintf "pf.smp.cpu%d.packets" k,
+            per_cpu (fun c -> if c.Pfdev.cpu = k then c.Pfdev.packets else 0) ))
+  in
+  List.iter
+    (fun (key, view) ->
+      Alcotest.(check int) (name ^ ": " ^ key) (sum view) (Stats.get stats key))
+    ([
+       ("pf.cache.hit", cache (fun c -> c.Pfdev.hits));
+       ("pf.cache.miss", cache (fun c -> c.Pfdev.misses));
+       ("pf.cache.bypass", cache (fun c -> c.Pfdev.bypasses));
+       ("pf.cache.eviction", cache (fun c -> c.Pfdev.evictions));
+       ("pf.dispatch.rebuild", dispatch (fun d -> d.Pfdev.rebuilds));
+       ("pf.dispatch.classify", dispatch (fun d -> d.Pfdev.classifies));
+       ("pf.dispatch.exact_accept", dispatch (fun d -> d.Pfdev.exact_accepts));
+       ("pf.dispatch.residual_run", dispatch (fun d -> d.Pfdev.residual_runs));
+       ("pf.packets", per_cpu (fun c -> c.Pfdev.packets));
+       ("pf.smp.lock_wait_us", per_cpu (fun c -> c.Pfdev.lock_wait_us));
+       ("pf.smp.lock_contended", per_cpu (fun c -> c.Pfdev.lock_waits));
+       ("pf.smp.lock_acquire", fun pf -> (Pfdev.smp_stats pf).Pfdev.lock_acquisitions);
+     ]
+    @ cpu_keys);
+  List.iter
+    (fun pf ->
+      let c = Pfdev.cache_stats pf in
+      Alcotest.(check (pair int int))
+        (name ^ ": per-CPU cache counters sum to the device's")
+        (c.Pfdev.hits, c.Pfdev.misses)
+        (per_cpu (fun c -> c.Pfdev.cache_hits) pf, per_cpu (fun c -> c.Pfdev.cache_misses) pf))
+    devices
+
+let test_views_agree () =
+  List.iter
+    (fun (d : Stats_drives.drive) ->
+      check_views d.Stats_drives.name (Host.stats d.Stats_drives.host) d.Stats_drives.devices)
+    (Stats_drives.all ())
+
 (* {1 Determinism: same seed, byte-identical stats at 4 CPUs} *)
 
 let test_determinism_4cpu () =
@@ -360,7 +410,8 @@ let test_work_record_identity () =
     Alcotest.(check int)
       (name ^ ": records sum to pf.filters_tested")
       (Stats.get (Host.stats h) "pf.filters_tested")
-      !filters
+      !filters;
+    check_views name (Host.stats h) [ pf ]
   in
   List.iter
     (fun strategy ->
@@ -396,4 +447,5 @@ let suite =
         test_gen_filters_exact;
       Alcotest.test_case "demux charges exactly its priced work records" `Quick
         test_work_record_identity;
+      Alcotest.test_case "counter views and pf.* keys agree" `Quick test_views_agree;
     ] )
