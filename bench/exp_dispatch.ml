@@ -18,8 +18,10 @@
    walk, plus the automaton composed with the flow cache.
 
    The run *fails* — the CI smoke criterion — if the automaton is ever
-   slower than the walk, if it is not >= 5x faster at 1,000 ports, or if
-   its own 10 -> 10,000 curve is not sublinear. *)
+   slower than the walk, if it is not >= 5x faster at 1,000 ports, if its
+   own 10 -> 10,000 curve is not sublinear, or if one in-place port update
+   (Dispatch.add + remove) costs more than 2x as much host wall clock at
+   10,000 installed entries as at 1,000. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
@@ -70,6 +72,46 @@ let run_mix ~n ~mix ~strategy ~cache =
   { us_per_packet = per "pf.demux_cpu_us"; insns_per_packet = per "pf.filter_insns" }
 
 let mix_name = function `Uniform -> "uniform" | `Skewed -> "skewed"
+
+(* {1 Control-plane scaling}
+
+   A port mutation costs the kernel one Dispatch.remove and one add on each
+   built automaton. Time that pair in host wall clock (Bechamel's monotonic
+   clock), as the median over many fresh Pup flows filed into and taken out
+   of an automaton that already holds [n] flows of the same shape. The gate
+   is on the 10k/1k ratio, so it holds on any machine. *)
+
+let update_reps = 2_001
+let update_pool = 64
+
+let update_ns ~n =
+  let gen =
+    Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:!run_seed ~flows:(n + update_pool)
+      ~skew:Gen.Uniform ()
+  in
+  let compile i =
+    match Pf_filter.Validate.check (Gen.filter (Gen.flow gen i)) with
+    | Ok v -> Pf_filter.Fast.compile v
+    | Error e -> failwith (Format.asprintf "%a" Pf_filter.Validate.pp_error e)
+  in
+  let d = Pf_filter.Dispatch.create () in
+  for i = 0 to n - 1 do
+    Pf_filter.Dispatch.add d ~rank:i (compile i) i
+  done;
+  let fresh = Array.init update_pool (fun k -> compile (n + k)) in
+  let update r =
+    let k = r mod update_pool in
+    let t0 = Monotonic_clock.now () in
+    Pf_filter.Dispatch.add d ~rank:(n + k) fresh.(k) (n + k);
+    Pf_filter.Dispatch.remove d ~rank:(n + k);
+    Int64.sub (Monotonic_clock.now ()) t0
+  in
+  for r = 1 to update_pool do
+    ignore (update r : int64) (* warm-up *)
+  done;
+  let samples = Array.init update_reps update in
+  Array.sort Int64.compare samples;
+  Int64.to_float samples.(update_reps / 2)
 
 let run () =
   let gates = ref [] in
@@ -160,6 +202,22 @@ let run () =
   if composed.us_per_packet > auto_alone then
     gate "flow cache on top of the automaton made demux slower: %.1f vs %.1f us"
       composed.us_per_packet auto_alone;
+  let small = update_ns ~n:1_000 and large = update_ns ~n:10_000 in
+  let ratio = large /. small in
+  record_metric "dispatch_update_ns_n1000" small;
+  record_metric "dispatch_update_ns_n10000" large;
+  record_metric "dispatch_update_ratio_10k_1k" ratio;
+  print_table
+    ~title:"In-place automaton update: Dispatch.add + remove (host ns, median)"
+    ~note:"gate: 10,000 entries may cost at most 2x what 1,000 do"
+    [
+      { metric = " 1,000 entries"; paper = ""; ours = Printf.sprintf "%8.0f ns" small };
+      { metric = "10,000 entries"; paper = "";
+        ours = Printf.sprintf "%8.0f ns (%.2fx)" large ratio };
+    ];
+  if ratio > 2. then
+    gate "one automaton update costs %.2fx more at 10,000 entries than at 1,000 (%.0f vs %.0f ns); need <= 2x"
+      ratio large small;
   match !gates with
   | [] -> ()
   | gs -> failwith ("dispatch bench regression:\n  " ^ String.concat "\n  " gs)

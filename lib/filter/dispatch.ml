@@ -6,11 +6,18 @@ type 'a entry = {
   exact : bool;
   fast : Fast.t;
   validated : Validate.t;
+  mutable shadowed_by : int option; (* rank of the kept entry shadowing it *)
 }
 
+(* One guard-value tuple of a group: every entry requiring it, and the ones
+   shadow elimination keeps, both in rank order. [all] is never empty, so
+   neither is [kept]: nothing can shadow a slot's first entry. *)
+type 'a slot = { mutable all : 'a entry list; mutable kept : 'a entry list }
+
 type 'a group = {
-  offsets : int array; (* sorted, duplicate-free *)
-  slots : (string, 'a entry list) Hashtbl.t; (* entries in rank order *)
+  signature : int list; (* sorted, duplicate-free *)
+  offsets : int array; (* the signature, for probing *)
+  slots : (string, 'a slot) Hashtbl.t;
 }
 
 type residual_reason = [ `Unbounded | `No_chain | `Excluded ]
@@ -21,11 +28,18 @@ type decision =
   | Residual of residual_reason
   | Never_accepts
 
+(* Where one added filter went: into a slot, or straight to its decision
+   ([Residual _] or [Never_accepts]). *)
+type 'a member =
+  | Slotted of { group : 'a group; key : string; slot : 'a slot; entry : 'a entry }
+  | Unslotted of 'a * decision
+
 type 'a t = {
-  groups : 'a group list; (* sorted by offset signature: deterministic *)
-  residual : (int * 'a) list; (* rank order *)
-  decisions : (int * 'a * decision) list; (* rank order *)
-  count : int;
+  indexable : 'a -> bool;
+  members : (int, 'a member) Hashtbl.t; (* by rank *)
+  by_signature : (int list, 'a group) Hashtbl.t;
+  mutable groups : 'a group list; (* sorted by signature: deterministic *)
+  mutable residual : (int * 'a) list; (* rank order *)
 }
 
 module For_testing = struct
@@ -58,121 +72,165 @@ let slot_key values =
     values;
   Buffer.contents buf
 
-let build ?(indexable = fun _ -> true) filters =
-  (* Walk order: decreasing priority, ties by list position — the order the
-     kernel's sequential demux applies these filters in. *)
-  let ranked =
-    List.mapi (fun i (validated, value) -> (i, validated, value)) filters
-    |> List.stable_sort (fun (i, va, _) (j, vb, _) ->
-           match
-             compare
-               (Program.priority (Validate.program vb))
-               (Program.priority (Validate.program va))
-           with
-           | 0 -> compare i j
-           | c -> c)
-  in
-  (* Same-slot subsumption, Analysis.relate first, the symbolic engine
-     (memoized, small budget) where it answers Unknown. Equiv.relate only
-     ever upgrades to Equivalent/Disjoint, both sound here. *)
-  let memo = Equiv.Memo.create () in
-  let relate va vb = Equiv.relate_memo ~budget:64 ~pair_budget:256 memo va vb in
-  let groups : (int list, (int list * 'a entry list ref) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let add_group_entry offsets values entry =
-    (* per offset signature, an assoc from canonical value tuple to entries *)
-    let slots =
-      match Hashtbl.find_opt groups offsets with
-      | Some s -> s
-      | None ->
-        let s = ref [] in
-        Hashtbl.add groups offsets s;
-        s
-    in
-    match List.assoc_opt values !slots with
-    | Some entries -> entries := entry :: !entries
-    | None -> slots := (values, ref [ entry ]) :: !slots
-  in
-  let decisions = ref [] in
-  List.iteri
-    (fun rank (_, validated, value) ->
-      let fast = Fast.compile validated in
-      let analysis = Fast.analysis fast in
-      let chain, whole = Analysis.guards (Validate.program validated) in
-      let decision =
-        if analysis.Analysis.verdict = Analysis.Always_reject then Never_accepts
-        else
-          match canonical_chain chain with
-          | None -> Never_accepts
-          | Some canonical ->
-            if not (indexable value) then Residual `Excluded
-            else if analysis.Analysis.read_set = Analysis.Unbounded then
-              Residual `Unbounded
-            else if canonical = [] then Residual `No_chain
-            else begin
-              let offsets = List.map fst canonical in
-              let values = List.map snd canonical in
-              add_group_entry offsets values
-                { rank; value; exact = whole; fast; validated };
-              Indexed { offsets; exact = whole }
-            end
-      in
-      decisions := (rank, value, decision) :: !decisions)
-    ranked;
-  let decisions = Array.of_list (List.rev !decisions) in
-  (* Shadow elimination, per slot in rank order: an earlier exact entry
-     accepts every packet that reaches its slot, and an earlier entry that
-     Subsumes (or is Equivalent to) a later one accepts every packet the
-     later one would — either way the earlier, lower-rank entry wins every
-     such packet, so the later entry is dead weight and is dropped. *)
-  let shadow_of kept e =
-    List.find_opt
-      (fun k ->
-        k.exact
-        ||
-        match relate k.validated e.validated with
-        | Analysis.Subsumes | Analysis.Equivalent -> true
-        | Analysis.Subsumed_by | Analysis.Disjoint | Analysis.Unknown -> false)
-      kept
-  in
-  let built_groups =
-    Hashtbl.fold
-      (fun offsets slots acc ->
-        let table = Hashtbl.create (List.length !slots) in
-        List.iter
-          (fun (values, entries) ->
-            let entries = List.sort (fun a b -> compare a.rank b.rank) !entries in
-            let kept =
-              List.fold_left
-                (fun kept e ->
-                  match shadow_of kept e with
-                  | Some k ->
-                    let _, value, _ = decisions.(e.rank) in
-                    decisions.(e.rank) <- (e.rank, value, Shadowed { by = k.rank });
-                    kept
-                  | None -> kept @ [ e ])
-                [] entries
-            in
-            if kept <> [] then Hashtbl.add table (slot_key values) kept)
-          !slots;
-        if Hashtbl.length table = 0 then acc
-        else { offsets = Array.of_list offsets; slots = table } :: acc)
-      groups []
-    |> List.sort (fun a b -> compare (Array.to_list a.offsets) (Array.to_list b.offsets))
-  in
-  let decisions = Array.to_list decisions in
-  let residual =
-    List.filter_map
-      (fun (rank, value, d) ->
-        match d with Residual _ -> Some (rank, value) | _ -> None)
-      decisions
-  in
-  { groups = built_groups; residual; decisions; count = List.length filters }
+let create ?(indexable = fun _ -> true) () =
+  {
+    indexable;
+    members = Hashtbl.create 64;
+    by_signature = Hashtbl.create 16;
+    groups = [];
+    residual = [];
+  }
 
-let size t = t.count
+(* Shadow elimination over one slot, in rank order: an earlier exact entry
+   accepts every packet that reaches its slot, and an earlier entry that
+   Subsumes (or is Equivalent to) a later one accepts every packet the
+   later one would — either way the earlier, lower-rank entry wins every
+   such packet, so the later entry is dead weight and is dropped.
+   Subsumption is Analysis.relate first, the symbolic engine (memoized,
+   small budget) where it answers Unknown; Equiv.relate only ever upgrades
+   to Equivalent/Disjoint, both sound here. An entry's fate depends only
+   on the entries ranked before it, so after a change at rank [from] only
+   the entries from there on are revisited. *)
+let reshadow slot ~from =
+  let memo = Equiv.Memo.create () in
+  let shadows k e =
+    k.exact
+    ||
+    match Equiv.relate_memo ~budget:64 ~pair_budget:256 memo k.validated e.validated with
+    | Analysis.Subsumes | Analysis.Equivalent -> true
+    | Analysis.Subsumed_by | Analysis.Disjoint | Analysis.Unknown -> false
+  in
+  slot.kept <-
+    List.fold_left
+      (fun kept e ->
+        if e.rank < from then kept
+        else
+          match List.find_opt (fun k -> shadows k e) kept with
+          | Some k ->
+            e.shadowed_by <- Some k.rank;
+            kept
+          | None ->
+            e.shadowed_by <- None;
+            kept @ [ e ])
+      (List.filter (fun k -> k.rank < from) slot.kept)
+      slot.all
+
+let rec insert_ranked rank_of x = function
+  | y :: rest when rank_of y < rank_of x -> y :: insert_ranked rank_of x rest
+  | l -> x :: l
+
+let remove t ~rank =
+  match Hashtbl.find_opt t.members rank with
+  | None -> ()
+  | Some member -> (
+    Hashtbl.remove t.members rank;
+    match member with
+    | Unslotted (_, Residual _) ->
+      t.residual <- List.filter (fun (r, _) -> r <> rank) t.residual
+    | Unslotted (_, _) -> ()
+    | Slotted { group; key; slot; entry } -> (
+      match List.filter (fun e -> e != entry) slot.all with
+      | [] ->
+        (* Drop the emptied slot, and its group with it: classification
+           probes every group, so an empty one would still cost a probe. *)
+        Hashtbl.remove group.slots key;
+        if Hashtbl.length group.slots = 0 then begin
+          Hashtbl.remove t.by_signature group.signature;
+          t.groups <- List.filter (fun g -> g != group) t.groups
+        end
+      | all ->
+        slot.all <- all;
+        reshadow slot ~from:rank))
+
+let group_of t signature =
+  match Hashtbl.find_opt t.by_signature signature with
+  | Some g -> g
+  | None ->
+    let g = { signature; offsets = Array.of_list signature; slots = Hashtbl.create 16 } in
+    Hashtbl.add t.by_signature signature g;
+    t.groups <- insert_ranked (fun g -> g.signature) g t.groups;
+    g
+
+let add t ~rank fast value =
+  remove t ~rank;
+  let validated = Fast.validated fast in
+  let analysis = Fast.analysis fast in
+  let chain, whole = Analysis.guards (Validate.program validated) in
+  let unslotted d =
+    (match d with
+    | Residual _ -> t.residual <- insert_ranked fst (rank, value) t.residual
+    | _ -> ());
+    Unslotted (value, d)
+  in
+  let member =
+    if analysis.Analysis.verdict = Analysis.Always_reject then unslotted Never_accepts
+    else
+      match canonical_chain chain with
+      | None -> unslotted Never_accepts
+      | Some canonical ->
+        if not (t.indexable value) then unslotted (Residual `Excluded)
+        else if analysis.Analysis.read_set = Analysis.Unbounded then
+          unslotted (Residual `Unbounded)
+        else if canonical = [] then unslotted (Residual `No_chain)
+        else begin
+          let group = group_of t (List.map fst canonical) in
+          let key = slot_key (List.map snd canonical) in
+          let entry = { rank; value; exact = whole; fast; validated; shadowed_by = None } in
+          let slot =
+            match Hashtbl.find_opt group.slots key with
+            | Some slot ->
+              slot.all <- insert_ranked (fun e -> e.rank) entry slot.all;
+              reshadow slot ~from:rank;
+              slot
+            | None ->
+              let slot = { all = [ entry ]; kept = [ entry ] } in
+              Hashtbl.add group.slots key slot;
+              slot
+          in
+          Slotted { group; key; slot; entry }
+        end
+  in
+  Hashtbl.replace t.members rank member
+
+let build ?indexable filters =
+  (* Walk order: decreasing priority, ties by list position — the order the
+     kernel's sequential demux applies these filters in. Adding in rank
+     order means each add revisits only its own entry. *)
+  let t = create ?indexable () in
+  List.mapi (fun i (validated, value) -> (i, validated, value)) filters
+  |> List.stable_sort (fun (i, va, _) (j, vb, _) ->
+         match
+           compare
+             (Program.priority (Validate.program vb))
+             (Program.priority (Validate.program va))
+         with
+         | 0 -> compare i j
+         | c -> c)
+  |> List.iteri (fun rank (_, validated, value) ->
+         add t ~rank (Fast.compile validated) value);
+  t
+
+let size t = Hashtbl.length t.members
 let residuals t = t.residual
-let decisions t = t.decisions
+
+let decisions t =
+  let members =
+    Hashtbl.fold (fun rank m acc -> (rank, m) :: acc) t.members []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let position = Hashtbl.create (List.length members) in
+  List.iteri (fun i (rank, _) -> Hashtbl.add position rank i) members;
+  List.mapi
+    (fun i (_, m) ->
+      match m with
+      | Unslotted (value, d) -> (i, value, d)
+      | Slotted { group; entry; _ } -> (
+        ( i,
+          entry.value,
+          match entry.shadowed_by with
+          | Some by -> Shadowed { by = Hashtbl.find position by }
+          | None -> Indexed { offsets = group.signature; exact = entry.exact } )))
+    members
 
 type stats = {
   probes : int;
@@ -217,7 +275,7 @@ let classify ?(on_run = fun _ ~insns:_ -> ()) t packet =
         | None -> acc
         | Some k -> (
           match Hashtbl.find_opt g.slots k with
-          | Some entries -> List.rev_append entries acc
+          | Some slot -> List.rev_append slot.kept acc
           | None -> acc))
       [] t.groups
   in
@@ -270,19 +328,20 @@ type info = {
 }
 
 let info t =
-  let count pred = List.length (List.filter (fun (_, _, d) -> pred d) t.decisions) in
+  let decisions = decisions t in
+  let count pred = List.length (List.filter (fun (_, _, d) -> pred d) decisions) in
   let groups =
     List.map
       (fun (g : _ group) ->
         let members, exact_members =
           Hashtbl.fold
-            (fun _ entries (m, e) ->
-              ( m + List.length entries,
-                e + List.length (List.filter (fun en -> en.exact) entries) ))
+            (fun _ slot (m, e) ->
+              ( m + List.length slot.kept,
+                e + List.length (List.filter (fun en -> en.exact) slot.kept) ))
             g.slots (0, 0)
         in
         {
-          offsets = Array.to_list g.offsets;
+          offsets = g.signature;
           slots = Hashtbl.length g.slots;
           members;
           exact_members;
@@ -290,7 +349,7 @@ let info t =
       t.groups
   in
   {
-    filters = t.count;
+    filters = size t;
     indexed = count (function Indexed _ -> true | _ -> false);
     residual = List.length t.residual;
     residual_unbounded = count (function Residual `Unbounded -> true | _ -> false);

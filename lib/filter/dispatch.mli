@@ -30,39 +30,71 @@
     empty or unprovable guard chains, and entries the caller excludes
     (copy-all and tap ports in {!Pf_kernel.Pfdev}) — falls back to the
     ordered per-port residual walk, exposed by {!residuals} so the caller
-    can merge it with the automaton winner by rank. *)
+    can merge it with the automaton winner by rank.
+
+    The automaton is maintained in place: {!add} and {!remove} touch one
+    group and one slot (or the residual list), and shadow checks rerun only
+    within that slot, so what a port-set change costs depends on that slot,
+    not on how many filters are installed. {!build} is a fold of {!add}. The invariant is that any
+    sequence of adds and removes leaves an automaton that classifies, and
+    reports {!decisions}, {!residuals} and {!info}, exactly as a {!build}
+    of the entries it holds, taken in rank order. *)
 
 type 'a t
+(** Mutable: {!add} and {!remove} update it in place. *)
 
 type residual_reason =
   [ `Unbounded  (** the filter's {!Analysis.read_set} is [Unbounded] *)
   | `No_chain  (** no leading guard chain — nothing provably sharable *)
   | `Excluded  (** the caller's [indexable] predicate said no *) ]
 
-(** What {!build} decided for one input filter, in rank order. *)
+(** What became of one added filter. *)
 type decision =
   | Indexed of { offsets : int list; exact : bool }
       (** member of the group keyed on [offsets]; [exact] entries accept
           on slot match without running the program *)
   | Shadowed of { by : int }
-      (** same-slot entry proven subsumed by the entry at rank [by];
+      (** same-slot entry proven subsumed by the entry at positional rank [by];
           dropped — it can never win a packet *)
   | Residual of residual_reason  (** walked per-port, in rank order *)
   | Never_accepts
       (** [Always_reject] verdict or a self-contradictory guard chain;
           dropped from both the automaton and the residual walk *)
 
+(** {1 Ranks}
+
+    Every entry has a {e rank}, an integer order key: a lower rank walks
+    first, so it wins a packet over every higher rank. Ranks need not be
+    consecutive, only distinct, which is what lets an insert leave every
+    other rank alone. {!Pf_kernel.Pfdev} ranks a port by (priority
+    descending, port id) packed into one int; {!build} ranks by walk
+    position. *)
+
+val create : ?indexable:('a -> bool) -> unit -> 'a t
+(** An empty automaton. [indexable] (default: everything) lets the caller
+    veto indexing per value — {!Pf_kernel.Pfdev} excludes copy-all and tap
+    ports, whose multi-delivery the first-match automaton cannot express.
+    It is consulted when a value is {!add}ed. *)
+
+val add : 'a t -> rank:int -> Fast.t -> 'a -> unit
+(** [add t ~rank filter value] files one compiled filter under [rank],
+    replacing any entry already there: into its group's slot (rechecking
+    the shadowing of that slot's entries from [rank] on), into the residual
+    walk, or nowhere (see {!decision}). It reuses [filter]'s compilation and
+    analysis. *)
+
+val remove : 'a t -> rank:int -> unit
+(** Drop the entry at [rank], if any. Entries it shadowed are rechecked and
+    may become indexed again; a slot, and then a group, that becomes empty
+    is dropped, so it costs no probe. *)
+
 val build : ?indexable:('a -> bool) -> (Validate.t * 'a) list -> 'a t
 (** [build filters] orders filters by decreasing {!Program.priority},
-    breaking ties by list position (matching the kernel's walk), then
-    indexes every filter it can prove safe to index and classifies the
-    rest per {!decision}. [indexable] (default: everything) lets the
-    caller veto indexing per value — {!Pf_kernel.Pfdev} excludes copy-all
-    and tap ports, whose multi-delivery the first-match automaton cannot
-    express. *)
+    breaking ties by list position (matching the kernel's walk), and {!add}s
+    each, compiled, with its position in that order as its rank. *)
 
 val size : 'a t -> int
-(** Number of input filters. *)
+(** Number of entries. *)
 
 val residuals : 'a t -> (int * 'a) list
 (** The non-indexed entries as [(rank, value)], in rank (walk) order.
@@ -70,8 +102,9 @@ val residuals : 'a t -> (int * 'a) list
     interleave the residual walk with the automaton's answer. *)
 
 val decisions : 'a t -> (int * 'a * decision) list
-(** Per-filter build decisions in rank order (the [pftool dispatch]
-    inspection surface). *)
+(** Per-filter decisions in rank order (the [pftool dispatch] inspection
+    surface). Unlike {!residuals} and {!classify}, these report
+    {e positional} ranks, 0 to [size - 1], as does [Shadowed { by }]. *)
 
 type stats = {
   probes : int;  (** group hash probes performed *)

@@ -111,7 +111,11 @@ and t = {
   variant : Frame.variant;
   address : Addr.t;
   send : Packet.t -> unit;
-  mutable ports : port list; (* sorted: priority desc, then id asc *)
+  mutable ports : port list; (* walk order: priority desc, then id asc *)
+  mutable ordered : bool;
+      (* [ports] is known to be in that canonical order, every port with a
+         [rank_of]; false after a busier-first reorder until a rebuild
+         finds it so again *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
   mutable strategy : [ `Sequential | `Dispatch ];
@@ -124,6 +128,12 @@ and t = {
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
   mutable key_state : key_state; (* shared: derived from the filter set *)
+  mutable key_fresh : bool; (* false once an invalidation asks for a refresh *)
+  mutable readers : int array;
+      (* per packet word, the installed filters on open ports reading it *)
+  mutable unbounded_filters : int; (* ... and with an unbounded read set *)
+  mutable key_moved : bool;
+      (* a count above crossed 0 <-> 1 since [key_state] was computed *)
   delivery_lock : Smp.lock; (* shared port queues; only taken when ncpus > 1 *)
   cpus : percpu array;
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
@@ -169,22 +179,22 @@ and percpu = {
   mutable evictions : int; mutable flushes : int;
   (* dispatch automaton *)
   mutable classifies : int; mutable exact_accepts : int; mutable candidates : int;
-  mutable residual_runs : int; mutable rebuilds : int;
+  mutable residual_runs : int; mutable rebuilds : int; mutable updates : int;
   mutable lock_waits : int; (* contended delivery-lock acquisitions *)
   mutable reader_locks : int; (* readers' dequeue acquisitions, once charged *)
 }
 
-(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}), rebuilt
-   lazily on first use after any acceptor-changing mutation — exactly the
-   flow cache's invalidation set, so [invalidate_cache] marks it dirty.
-   Rebuilds are private to the CPU, and classification touches no
-   cross-CPU state. *)
+(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}). A port
+   mutation (close, install, priority, copy-all, tap) updates the built
+   automaton of every CPU it flushes in place: one remove and one add,
+   ranked by [rank_of]. Any other invalidation marks it dirty, and it is
+   rebuilt on first use. The automaton is private to the CPU, and
+   classification touches no cross-CPU state. *)
 and dispatch_state =
   | Dispatch_dirty
   | Dispatch_built of port Pf_filter.Dispatch.t
 
 and key_state =
-  | Dirty (* filter set changed: recompute before the next lookup *)
   | Unusable (* some installed filter's read set is unbounded *)
   | Offsets of int array (* sorted union read set of the installed filters *)
 
@@ -193,7 +203,7 @@ let fresh_percpu () =
     dispatch = Dispatch_dirty; total = no_work (); packets = 0; accepts = 0;
     nomatch = 0; hits = 0; misses = 0; bypasses = 0; evictions = 0; flushes = 0;
     classifies = 0; exact_accepts = 0; candidates = 0; residual_runs = 0;
-    rebuilds = 0; lock_waits = 0; reader_locks = 0 }
+    rebuilds = 0; updates = 0; lock_waits = 0; reader_locks = 0 }
 
 let sum_cpus t f = Array.fold_left (fun acc c -> acc + f c) 0 t.cpus
 
@@ -215,6 +225,7 @@ let derive_stats t =
   count "pf.cache.bypass" (fun c -> c.bypasses);
   count "pf.cache.eviction" (fun c -> c.evictions);
   count "pf.dispatch.rebuild" (fun c -> c.rebuilds);
+  count "pf.dispatch.update" (fun c -> c.updates);
   count "pf.dispatch.classify" (fun c -> c.classifies);
   count "pf.dispatch.exact_accept" (fun c -> c.exact_accepts);
   count "pf.dispatch.residual_run" (fun c -> c.residual_runs);
@@ -246,6 +257,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     address;
     send;
     ports = [];
+    ordered = true;
     next_id = 0;
     demuxed_since_reorder = 0;
     strategy = `Sequential;
@@ -255,7 +267,11 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
-    key_state = Dirty;
+    key_state = Offsets [||];
+    key_fresh = false;
+    readers = [||];
+    unbounded_filters = 0;
+    key_moved = true;
     delivery_lock = Smp.Lock.create ~name:"delivery_lock" smp;
     cpus = Array.init (Smp.ncpus smp) (fun _ -> fresh_percpu ());
     san = None;
@@ -271,17 +287,20 @@ let create engine cpu costs stats ~variant ~address ~send =
 let ncpus t = Smp.ncpus t.smp
 let smp t = t.smp
 
-module For_testing = struct
-  (* When set, [install]/[set_filter] leave the flow cache alone — the
-     "forgot to invalidate" kernel bug. The differential suite flips this to
-     prove the cold/warm/disabled demux oracle catches stale entries; never
-     set it outside tests. *)
+(* The seeded kernel bugs, exported with the inspection hooks at the end
+   of this file as [For_testing]. *)
+module Mutants = struct
+  (* When set, [install]/[set_filter] leave the flow cache and the
+     automata alone — the "forgot to invalidate" kernel bug. The
+     differential suite flips this to prove the cold/warm/disabled demux
+     oracle catches stale entries; never set it outside tests. *)
   let skip_install_invalidation = ref false
 
-  (* When set, invalidations flush only the mutating CPU's flow cache and
-     skip the IPI broadcast — the SMP variant of the same bug: a kernel
-     that forgot the other CPUs exist. Remote caches keep answering from
-     entries stored under the old filter set. The differential suite flips
+  (* When set, invalidations flush (and update the automaton of) only the
+     mutating CPU's flow cache and skip the IPI broadcast — the SMP
+     variant of the same bug: a kernel that forgot the other CPUs exist.
+     Remote caches keep answering from entries stored under the old
+     filter set. The differential suite flips
      this to prove the oracle catches stale remote decisions. *)
   let skip_remote_invalidation = ref false
 
@@ -373,7 +392,67 @@ let san_table_write ?(cpu = 0) t =
   | Some h -> San.write h.checker ~cpu h.res_table
   | None -> ()
 
-let invalidate_cache ?(cpu = 0) t =
+(* {2 Automaton ranks}
+
+   A port's automaton rank is its place in the canonical walk — priority
+   descending, then id — packed into one int that no insert moves. It is
+   the walk order exactly while [t.ordered] holds. *)
+
+let rank_bias = 1 lsl 30
+
+let rankable p =
+  p.priority > -rank_bias && p.priority < rank_bias && p.id < 1 lsl 31
+
+let rank_of p = ((rank_bias - p.priority) lsl 31) lor p.id
+
+let rec canonical = function
+  | a :: (b :: _ as rest) -> rankable a && rank_of a < rank_of b && canonical rest
+  | [ a ] -> rankable a
+  | [] -> true
+
+(* File [port] in automaton [d] under [rank], if the walk applies its
+   filter. *)
+let dispatch_add d ~rank port =
+  match port.filter with
+  | Some fast when port.is_open -> Pf_filter.Dispatch.add d ~rank fast port
+  | Some _ | None -> ()
+
+(* The automaton update for a mutation of [port], which had rank [rank]
+   before it: take the old entry out and file the port anew. *)
+let refile ~rank port =
+  `Update
+    (fun d ->
+      Pf_filter.Dispatch.remove d ~rank;
+      dispatch_add d ~rank:(rank_of port) port)
+
+(* Count [port]'s installed read set into ([delta] = 1) or out of (-1) the
+   flow-cache key. *)
+let count_read_set t port delta =
+  let cross before = if (before = 0) <> (before + delta = 0) then t.key_moved <- true in
+  match port.analysis with
+  | None -> ()
+  | Some a -> (
+    match a.Pf_filter.Analysis.read_set with
+    | Pf_filter.Analysis.Unbounded ->
+      cross t.unbounded_filters;
+      t.unbounded_filters <- t.unbounded_filters + delta
+    | Pf_filter.Analysis.Exact idxs ->
+      List.iter
+        (fun i ->
+          if i >= Array.length t.readers then begin
+            let grown = Array.make (max (i + 1) (2 * Array.length t.readers)) 0 in
+            Array.blit t.readers 0 grown 0 (Array.length t.readers);
+            t.readers <- grown
+          end;
+          cross t.readers.(i);
+          t.readers.(i) <- t.readers.(i) + delta)
+        idxs)
+
+(* [dispatch] says what an invalidation does to each flushed CPU's built
+   automaton: [`Rebuild] marks it dirty, [`Keep] leaves it, and [`Update f]
+   brings it up to date in place — unless ranks no longer follow the walk,
+   when it too marks it dirty. *)
+let invalidate_cache ?(cpu = 0) ?(dispatch = `Rebuild) t =
   (* An acceptor-changing mutation: tell the protocol checker a new
      configuration epoch begins now, before any CPU syncs to it. *)
   (match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ());
@@ -381,7 +460,12 @@ let invalidate_cache ?(cpu = 0) t =
      cache is, so the two share one invalidation set. *)
   let flush_one k =
     let c = t.cpus.(k) in
-    c.dispatch <- Dispatch_dirty;
+    (match (c.dispatch, dispatch) with
+    | _, `Keep -> ()
+    | Dispatch_built d, `Update update when t.ordered ->
+      update d;
+      c.updates <- c.updates + 1
+    | _, (`Rebuild | `Update _) -> c.dispatch <- Dispatch_dirty);
     c.generation <- c.generation + 1;
     if Hashtbl.length c.table > 0 then begin
       Hashtbl.reset c.table;
@@ -397,9 +481,9 @@ let invalidate_cache ?(cpu = 0) t =
       San.sync h.checker ~cpu:k h.res_table
     | None -> ()
   in
-  if !For_testing.skip_remote_invalidation then flush_one cpu
+  if !Mutants.skip_remote_invalidation then flush_one cpu
   else begin
-    t.key_state <- Dirty;
+    t.key_fresh <- false;
     for k = 0 to Smp.ncpus t.smp - 1 do
       flush_one k
     done;
@@ -428,10 +512,12 @@ let insert_port t port =
   in
   t.ports <- ins t.ports
 
+(* A closed port stays out of the walk. *)
 let reprioritize t port priority =
   t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
   port.priority <- priority;
-  insert_port t port
+  if not (rankable port) then t.ordered <- false;
+  if port.is_open then insert_port t port
 
 let maybe_reorder ?cpu t =
   t.demuxed_since_reorder <- t.demuxed_since_reorder + 1;
@@ -449,6 +535,7 @@ let maybe_reorder ?cpu t =
        wins a packet, so any cached decision taken under the old order is
        stale. *)
     if List.map (fun p -> p.id) t.ports <> before then begin
+      t.ordered <- false;
       san_table_write ?cpu t;
       invalidate_cache ?cpu t
     end
@@ -490,15 +577,20 @@ let open_port t =
     }
   in
   insert_port t port;
+  if not (rankable port) then t.ordered <- false;
   san_table_write t;
-  invalidate_cache t;
+  (* A port with no filter is in no automaton. *)
+  invalidate_cache ~dispatch:`Keep t;
   port
 
 let close_port port =
+  let t = port.dev in
+  if port.is_open then count_read_set t port (-1);
   port.is_open <- false;
-  port.dev.ports <- List.filter (fun p -> p.id <> port.id) port.dev.ports;
-  san_table_write port.dev;
-  invalidate_cache port.dev;
+  t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
+  san_table_write t;
+  let rank = rank_of port in
+  invalidate_cache t ~dispatch:(`Update (fun d -> Pf_filter.Dispatch.remove d ~rank));
   (* Wake any blocked readers; they will notice the port is closed. *)
   ignore (Condition.broadcast port.cond () : int)
 
@@ -603,6 +695,8 @@ let install port program =
     | _ ->
       (* "at a cost comparable to that of receiving a packet" (§3.1) *)
       charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
+      let rank = rank_of port in
+      if port.is_open then count_read_set t port (-1);
       port.filter <- Some fast;
       port.regvm <- regvm;
       port.engine_kind <- kind;
@@ -613,11 +707,14 @@ let install port program =
       port.validated <- Some (Pf_filter.Fast.validated fast);
       port.analysis <- Some analysis;
       port.certification <- certification;
+      if port.is_open then count_read_set t port 1;
       reprioritize t port (Pf_filter.Program.priority program);
       san_table_write t;
-      if not !For_testing.skip_install_invalidation then invalidate_cache t
+      if not !Mutants.skip_install_invalidation then
+        invalidate_cache t ~dispatch:(refile ~rank port)
       else begin
-        (* The buggy kernel still mutated the acceptor set — the protocol
+        (* The buggy kernel still mutated the acceptor set — and left every
+           automaton as it was, stale entry and all. The protocol
            checker must learn the epoch advanced even though no CPU will
            ever sync to it. That is precisely what lets Pfsan flag this
            mutant from the trace alone. *)
@@ -637,9 +734,10 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 let set_priority port priority =
+  let rank = rank_of port in
   reprioritize port.dev port priority;
   san_table_write port.dev;
-  invalidate_cache port.dev
+  invalidate_cache port.dev ~dispatch:(refile ~rank port)
 
 let set_strategy t strategy =
   t.strategy <- strategy;
@@ -682,12 +780,14 @@ let port_engine_stats port =
 
 let set_timeout port timeout = port.timeout <- timeout
 let set_queue_limit port n = port.queue_limit <- max 1 n
+(* Copy-all and tap ports are not indexable: refiling moves the port
+   between a slot and the residual walk. *)
 let set_copy_all port flag =
   port.copy_all <- flag;
-  invalidate_cache port.dev
+  invalidate_cache port.dev ~dispatch:(refile ~rank:(rank_of port) port)
 let set_tap port flag =
   port.tap <- flag;
-  invalidate_cache port.dev
+  invalidate_cache port.dev ~dispatch:(refile ~rank:(rank_of port) port)
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
 
@@ -729,6 +829,7 @@ let cache_stats t =
 
 type dispatch_stats = {
   rebuilds : int;
+  updates : int;
   classifies : int;
   exact_accepts : int;
   candidates_run : int;
@@ -739,6 +840,7 @@ let dispatch_stats t =
   let sum = sum_cpus t in
   {
     rebuilds = sum (fun c -> c.rebuilds);
+    updates = sum (fun c -> c.updates);
     classifies = sum (fun c -> c.classifies);
     exact_accepts = sum (fun c -> c.exact_accepts);
     candidates_run = sum (fun c -> c.candidates);
@@ -778,40 +880,54 @@ let filtered_ports t =
       | Some _ | None -> None)
     t.ports
 
-(* The whole-port-set dispatch automaton. Copy-all and tap ports are
+(* The whole-port-set dispatch automaton, built from scratch after an
+   invalidation that did not update it. Copy-all and tap ports are
    excluded from indexing (their multi-delivery cannot be expressed by a
    first-match winner) and fall to the rank-ordered residual walk, which
-   [classify_dispatch] merges with the automaton winner by rank. *)
+   [classify_dispatch] merges with the automaton winner by rank. While a
+   busier-first reorder keeps the walk out of canonical order, ranks are
+   walk positions instead, and mutations mark the automaton dirty rather
+   than update it. *)
 let dispatch_of t cpu =
   let c = t.cpus.(cpu) in
   match c.dispatch with
   | Dispatch_built d -> d
   | Dispatch_dirty ->
+    if not t.ordered then t.ordered <- canonical t.ports;
     let d =
-      Pf_filter.Dispatch.build
-        ~indexable:(fun p -> (not p.copy_all) && not p.tap)
-        (filtered_ports t)
+      Pf_filter.Dispatch.create ~indexable:(fun p -> (not p.copy_all) && not p.tap) ()
     in
+    List.iteri
+      (fun i p -> dispatch_add d ~rank:(if t.ordered then rank_of p else i) p)
+      t.ports;
     c.dispatch <- Dispatch_built d;
     c.rebuilds <- c.rebuilds + 1;
     d
 
-(* Recompute the union read set of every installed filter. A port with no
-   filter accepts nothing and reads nothing, so it does not constrain the
-   key; any filter with an unbounded read set makes the cache unusable
-   until the next invalidation changes the filter set. *)
-let refresh_key_state t =
-  let rec union acc = function
-    | [] -> t.key_state <- Offsets (Array.of_list (List.sort_uniq compare acc))
-    | p :: rest -> (
-      match p.analysis with
-      | None -> union acc rest
-      | Some a -> (
-        match a.Pf_filter.Analysis.read_set with
-        | Pf_filter.Analysis.Unbounded -> t.key_state <- Unusable
-        | Pf_filter.Analysis.Exact idxs -> union (idxs @ acc) rest))
-  in
-  union [] t.ports
+(* The union read set of every installed filter, as of the last
+   invalidation. A port with no filter accepts nothing and reads nothing,
+   so it does not constrain the key; any filter with an unbounded read set
+   makes the cache unusable until the next invalidation changes the filter
+   set. The counts are kept current by install and close; the sorted array
+   is recomputed only when some offset gained its first reader or lost its
+   last. *)
+let key_state t =
+  if not t.key_fresh then begin
+    t.key_fresh <- true;
+    if t.key_moved then begin
+      t.key_moved <- false;
+      t.key_state <-
+        (if t.unbounded_filters > 0 then Unusable
+         else begin
+           let offsets = ref [] in
+           for i = Array.length t.readers - 1 downto 0 do
+             if t.readers.(i) > 0 then offsets := i :: !offsets
+           done;
+           Offsets (Array.of_list !offsets)
+         end)
+    end
+  end;
+  t.key_state
 
 (* The cache key: for each union-read-set offset, a presence marker plus the
    big-endian word bytes — absence is part of the key because a too-short
@@ -841,9 +957,7 @@ let steer t frame =
   let n = Smp.ncpus t.smp in
   if n = 1 then 0
   else begin
-    if t.key_state = Dirty then refresh_key_state t;
-    match t.key_state with
-    | Dirty -> assert false
+    match key_state t with
     | Unusable -> 0
     | Offsets [||] -> 0
     | Offsets offsets -> Hashtbl.hash (cache_key offsets frame) mod n
@@ -1017,9 +1131,7 @@ let classify t w ~cpu ~kernel_claimed frame =
     if not t.cache_enabled then `Off
     else if kernel_claimed then bypass ()
     else begin
-      if t.key_state = Dirty then refresh_key_state t;
-      match t.key_state with
-      | Dirty -> assert false
+      match key_state t with
       | Unusable -> bypass ()
       | Offsets offsets -> (
         let key = cache_key offsets frame in
@@ -1102,7 +1214,7 @@ let deliver t w ~cpu ~start ~arrival frame acceptors =
        keeps the queue resource in the sanitizer's Exclusive state, so a
        1-CPU campaign can never report on it. *)
     san_queue_write ()
-  else if !For_testing.skip_delivery_lock then
+  else if !Mutants.skip_delivery_lock then
     (* The seeded bug: the shared-queue insert runs bare. Verdicts and
        queue contents are identical (the engine serializes demux events),
        so only the sanitizer's lockset can see this. *)
@@ -1330,3 +1442,16 @@ let shadowed_ports t =
       in
       Option.map (fun (_, q) -> (p, q)) shadow)
     active
+
+module For_testing = struct
+  include Mutants
+
+  let dispatch t ~cpu =
+    match t.cpus.(cpu).dispatch with Dispatch_built d -> Some d | Dispatch_dirty -> None
+
+  let fresh_dispatch t =
+    Pf_filter.Dispatch.build ~indexable:(fun p -> (not p.copy_all) && not p.tap) (filtered_ports t)
+
+  let cache_key_offsets t =
+    match key_state t with Unusable -> None | Offsets offsets -> Some offsets
+end

@@ -110,7 +110,8 @@ val port_dropped : port -> int
 
 val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
-    comes from the installed program's header ({!install}). *)
+    comes from the installed program's header ({!install}). A closed port
+    only records it: it never rejoins the walk. *)
 
 val set_strategy : t -> [ `Sequential | `Dispatch ] -> unit
 (** Demultiplexing strategy. [`Sequential] (the default) applies filters in
@@ -120,8 +121,15 @@ val set_strategy : t -> [ `Sequential | `Dispatch ] -> unit
     {e groups}, not the number of ports. Copy-all and tap ports join the
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
-    oracle and [test_dispatch] enforce this). The automaton is rebuilt
-    lazily after exactly the mutations that flush the flow cache.
+    oracle and [test_dispatch] enforce this). The automaton follows exactly
+    the mutations that flush the flow cache: {!close_port}, {!install}/
+    {!set_filter}, {!set_priority}, {!set_copy_all} and {!set_tap} update
+    each CPU's built automaton in place, touching the one port's group and
+    slot; {!open_port} leaves it alone (a port with no filter is not in
+    it); every other flush (strategy, compile strategy, cache policy, cost
+    limit, a busier-first reorder) marks it dirty, to be rebuilt on first
+    use. Updated or rebuilt, it equals a fresh {!Pf_filter.Dispatch.build}
+    of the installed filters in walk order.
     Kernel-claimed packets bypass the automaton (taps-only delivery is a
     different port subset) and take the sequential walk. *)
 
@@ -327,7 +335,12 @@ val pp_cache_stats : Format.formatter -> cache_stats -> unit
 (** {1 Dispatch-automaton observability} *)
 
 type dispatch_stats = {
-  rebuilds : int;  (** lazy automaton rebuilds after an invalidation *)
+  rebuilds : int;
+      (** full automaton builds: the first use, and the first use after an
+          invalidation that did not update the automaton in place *)
+  updates : int;
+      (** port mutations applied to a built automaton in place, one per
+          mutation and CPU (["pf.dispatch.update"]) *)
   classifies : int;  (** packets classified through the automaton *)
   exact_accepts : int;
       (** classifications won by an exact entry: slot match, zero filter
@@ -407,15 +420,16 @@ val shadowed_ports : t -> (port * port) list
 
 module For_testing : sig
   val skip_install_invalidation : bool ref
-  (** When set, {!install}/{!set_filter} leave the flow cache alone — the
-      "forgot to invalidate" kernel bug. The differential suite flips this
-      to prove the cold/warm/disabled demux oracle catches stale entries;
-      never set it outside tests. *)
+  (** When set, {!install}/{!set_filter} leave the flow cache and the
+      dispatch automata alone — the "forgot to invalidate" kernel bug. The
+      differential suite flips this to prove the cold/warm/disabled demux
+      oracle catches stale entries; never set it outside tests. *)
 
   val skip_remote_invalidation : bool ref
-  (** When set, invalidations flush only the mutating CPU's flow cache and
-      skip the IPI broadcast — the SMP variant of the same bug: a kernel
-      that forgot the other CPUs exist, leaving remote caches answering
+  (** When set, invalidations flush (and update the automaton of) only the
+      mutating CPU's flow cache and skip the IPI broadcast — the SMP
+      variant of the same bug: a kernel that forgot the other CPUs exist,
+      leaving remote caches answering
       from entries stored under the old filter set. Flipped by the
       differential suite to prove the oracle catches stale remote
       decisions; never set it outside tests. *)
@@ -426,4 +440,17 @@ module For_testing : sig
       simulator serializes demux events), so the differential oracle is
       blind to this one — it exists to prove the concurrency sanitizer's
       lockset checker catches it. Never set it outside tests. *)
+
+  val dispatch : t -> cpu:int -> port Pf_filter.Dispatch.t option
+  (** CPU [cpu]'s built automaton, as maintained; [None] while dirty. *)
+
+  val fresh_dispatch : t -> port Pf_filter.Dispatch.t
+  (** A {!Pf_filter.Dispatch.build} from scratch of the open filtered ports
+      in walk order, copy-all and tap ports excluded from indexing — what
+      {!dispatch} must equal. *)
+
+  val cache_key_offsets : t -> int array option
+  (** The flow cache's key offsets as the next lookup would use them (the
+      sorted union read set of the installed filters); [None] when some
+      filter's read set is unbounded. *)
 end

@@ -2,10 +2,12 @@
    sequential walk it replaces: mirrored devices receive identical mutation
    streams (install / close / set_priority / set_filter / set_tap /
    set_copy_all) and identical packets, and must agree on every verdict and
-   on per-port accept/drop accounting; plus residual-fallback coverage for
-   unbounded read sets, direct unit tests of the build decisions, and the
-   seeded unsound-prefix-sharing mutant, which the fuzz oracle must catch
-   and shrink. *)
+   on per-port accept/drop accounting, while the automaton the device keeps
+   current in place must equal one built from scratch after every
+   mutation; plus residual-fallback coverage for unbounded read sets,
+   direct unit tests of the build decisions and of incremental add/remove,
+   and the seeded unsound-prefix-sharing mutant, which the fuzz oracle must
+   catch and shrink. *)
 
 open Pf_kernel
 module Packet = Pf_pkt.Packet
@@ -38,14 +40,72 @@ let validate_exn program =
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpectedly invalid: %a" Validate.pp_error e
 
+(* {1 Incremental = from scratch}
+
+   An automaton kept current by add/remove must be indistinguishable from a
+   fresh build of the entries it holds: the same per-filter decisions
+   (positional ranks), the same group structure, the same residual walk,
+   and on every probe packet the same winner and the same classification
+   work. Only the rank numbers of [residuals] and the winner may differ —
+   they are order keys, not positions. *)
+
+let probe_packets =
+  Packet.of_string ""
+  :: List.init 4 (fun k -> Testutil.ip_udp_frame ~dst_port:(1000 + k))
+  @ List.concat_map
+      (fun socket ->
+        List.map
+          (fun ptype -> Testutil.pup_frame ~ptype ~dst_socket:(Int32.of_int (30 + socket)) ())
+          [ 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
+
+let decision_lines ~name d =
+  List.map
+    (fun (rank, v, dec) -> Format.asprintf "%d %s: %a" rank (name v) Dispatch.pp_decision dec)
+    (Dispatch.decisions d)
+
+let check_same ~what ~name maintained fresh =
+  Alcotest.(check (list string)) (what ^ ": decisions") (decision_lines ~name fresh)
+    (decision_lines ~name maintained);
+  Alcotest.(check bool) (what ^ ": info") true (Dispatch.info fresh = Dispatch.info maintained);
+  let residuals d = List.map (fun (_, v) -> name v) (Dispatch.residuals d) in
+  Alcotest.(check (list string)) (what ^ ": residuals") (residuals fresh)
+    (residuals maintained);
+  List.iter
+    (fun packet ->
+      let classify d =
+        let winner, stats = Dispatch.classify d packet in
+        (Option.map (fun (_, v) -> name v) winner, stats)
+      in
+      Alcotest.(check bool) (what ^ ": classify winner and stats") true
+        (classify fresh = classify maintained))
+    probe_packets
+
 (* {1 Mirrored-device equivalence under randomized mutation}
 
    A [`Sequential] and a [`Dispatch] device receive the same mutation
    stream and the same packets. Any divergence in a demux verdict or in
    per-port accounting is an automaton bug — in classification itself, in
-   the rank-merged residual walk, or in a missed rebuild after a mutation
-   (the rebuild-invalidation property: the automaton must be reconstructed
-   after exactly the mutations that flush the flow cache). *)
+   the rank-merged residual walk, or in a missed or wrong in-place update
+   after a mutation. After every mutation the automaton the [`Dispatch]
+   device maintains must also equal a from-scratch build of its ports, and
+   both devices' flow-cache key offsets must equal the union read set of
+   the installed filters, recomputed. *)
+
+let port_name p = string_of_int (Pfdev.port_id p)
+
+let expected_key_offsets ports =
+  let rec union acc = function
+    | [] -> Some (Array.of_list (List.sort_uniq compare acc))
+    | p :: rest -> (
+      match Pfdev.port_analysis p with
+      | None -> union acc rest
+      | Some a -> (
+        match a.Pf_filter.Analysis.read_set with
+        | Pf_filter.Analysis.Unbounded -> None
+        | Pf_filter.Analysis.Exact idxs -> union (idxs @ acc) rest))
+  in
+  union [] ports
 
 (* Filter pool: exact guard chains (distinct sockets), a non-exact chain
    (pup_dst_port_10mb keeps code after its guards), a short chain shared
@@ -138,6 +198,19 @@ let run_mirrored ~seed ~cache ~steps =
   in
   for step = 1 to steps do
     mutate rng;
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    (match Pfdev.For_testing.dispatch dev_a ~cpu:0 with
+    | Some maintained ->
+      check_same ~what ~name:port_name maintained (Pfdev.For_testing.fresh_dispatch dev_a)
+    | None -> ());
+    Alcotest.(check (option (array int)))
+      (what ^ ": sequential key offsets")
+      (expected_key_offsets (List.map fst !ports))
+      (Pfdev.For_testing.cache_key_offsets dev_s);
+    Alcotest.(check (option (array int)))
+      (what ^ ": dispatch key offsets")
+      (expected_key_offsets (List.map snd !ports))
+      (Pfdev.For_testing.cache_key_offsets dev_a);
     (* A short burst of shared packets after every mutation; the occasional
        kernel-claimed packet exercises the taps-only bypass. *)
     for _ = 1 to 4 do
@@ -165,8 +238,9 @@ let run_mirrored ~seed ~cache ~steps =
   let ds = Pfdev.dispatch_stats dev_a in
   Alcotest.(check bool) "automaton actually classified packets" true
     (ds.Pfdev.classifies > 0);
-  Alcotest.(check bool) "automaton rebuilt after mutations" true
-    (ds.Pfdev.rebuilds > 1)
+  Alcotest.(check int) "built once, on first use" 1 ds.Pfdev.rebuilds;
+  Alcotest.(check bool) "mutations updated the automaton in place" true
+    (ds.Pfdev.updates > 0)
 
 let test_mirrored_mutations_cache_off () =
   List.iter
@@ -177,6 +251,56 @@ let test_mirrored_mutations_cache_on () =
   List.iter
     (fun seed -> run_mirrored ~seed ~cache:true ~steps:40)
     [ 6; 7; 8; 9; 10 ]
+
+(* {1 A busier-first reorder: positional ranks until the walk is canonical}
+
+   Under [`Sequential], a busier-first reorder can leave the port list out
+   of (priority, id) order, so rank keys no longer follow the walk. The
+   next build must rank by position and every mutation must rebuild, until
+   a build finds the list canonical again; from then on mutations update
+   the automaton in place. *)
+
+let test_reordered_walk_rebuilds () =
+  let eng, dev = mk_dev () in
+  Pfdev.set_cache_enabled dev false;
+  let ports =
+    List.map
+      (fun socket ->
+        let p = Pfdev.open_port dev in
+        set_filter_exn p (Predicates.pup_dst_socket socket);
+        Pfdev.set_queue_limit p 1;
+        p)
+      [ 35l; 36l; 37l ]
+  in
+  (* 256 walks to the last port make it the busiest: it moves first. *)
+  for _ = 1 to 256 do
+    ignore (Pfdev.demux dev (Testutil.pup_frame ~dst_socket:37l ()) : bool)
+  done;
+  Pf_sim.Engine.run eng;
+  Pfdev.set_strategy dev `Dispatch;
+  let demux_and_check what =
+    ignore (Pfdev.demux dev (Testutil.pup_frame ~dst_socket:36l ()) : bool);
+    match Pfdev.For_testing.dispatch dev ~cpu:0 with
+    | Some d -> check_same ~what ~name:port_name d (Pfdev.For_testing.fresh_dispatch dev)
+    | None -> Alcotest.fail "demux should have built the automaton"
+  in
+  let counts () =
+    let ds = Pfdev.dispatch_stats dev in
+    (ds.Pfdev.rebuilds, ds.Pfdev.updates)
+  in
+  demux_and_check "built on the reordered walk";
+  Alcotest.(check (pair int int)) "one build" (1, 0) (counts ());
+  let first, last = (List.hd ports, List.nth ports 2) in
+  Pfdev.set_copy_all first true;
+  demux_and_check "mutated while out of order";
+  Alcotest.(check (pair int int)) "rebuilt, not updated" (2, 0) (counts ());
+  (* Closing the port the reorder moved restores the canonical order. *)
+  Pfdev.close_port last;
+  demux_and_check "canonical again";
+  Alcotest.(check (pair int int)) "rebuilt once more" (3, 0) (counts ());
+  Pfdev.set_copy_all first false;
+  demux_and_check "updated in place";
+  Alcotest.(check (pair int int)) "updated, not rebuilt" (3, 1) (counts ())
 
 (* {1 Residual fallback: unbounded read sets}
 
@@ -314,6 +438,123 @@ let test_copy_all_goes_residual () =
     -> ()
   | _ -> Alcotest.fail "the excluded port must go residual, not indexed"
 
+(* {1 Incremental add/remove, directly}
+
+   Each test drives one automaton through add/remove and, after every step,
+   compares it with a build of the entries it then holds (taken in rank
+   order, so build's positional ranks follow the same order). *)
+
+let fast_of program = Fast.compile (validate_exn program)
+
+(* [held] is (rank, name, program), the automaton's contents. *)
+let check_against_build ~what d held =
+  let held = List.sort (fun (a, _, _) (b, _, _) -> compare a b) held in
+  let fresh =
+    Dispatch.build (List.map (fun (_, n, p) -> (validate_exn p, n)) held)
+  in
+  check_same ~what ~name:Fun.id d fresh
+
+let decisions_of = decision_lines ~name:Fun.id
+
+let sock35 = Predicates.pup_dst_socket 35l
+
+let test_remove_unshadows () =
+  let d = Dispatch.create () in
+  let held = [ (10, "first", sock35); (20, "second", sock35) ] in
+  List.iter (fun (rank, n, p) -> Dispatch.add d ~rank (fast_of p) n) held;
+  Alcotest.(check (list string)) "second shadowed by first"
+    [ "0 first: indexed on words [1 7 8], exact"; "1 second: shadowed by the entry at rank 0" ]
+    (decisions_of d);
+  check_against_build ~what:"both held" d held;
+  Dispatch.remove d ~rank:10;
+  Alcotest.(check (list string)) "second indexed once first is gone"
+    [ "0 second: indexed on words [1 7 8], exact" ] (decisions_of d);
+  check_against_build ~what:"first removed" d [ (20, "second", sock35) ];
+  match Dispatch.classify d (Testutil.pup_frame ~dst_socket:35l ()) with
+  | Some (20, "second"), _ -> ()
+  | _ -> Alcotest.fail "the unshadowed entry should win, under its own rank"
+
+let test_never_accepts_add_remove () =
+  let d = Dispatch.create () in
+  let held = [ (1, "sock", sock35); (2, "never", Predicates.reject_all) ] in
+  List.iter (fun (rank, n, p) -> Dispatch.add d ~rank (fast_of p) n) held;
+  Alcotest.(check (list string)) "dropped, not residual"
+    [ "0 sock: indexed on words [1 7 8], exact"; "1 never: dropped (can never accept)" ]
+    (decisions_of d);
+  Alcotest.(check int) "no residuals" 0 (List.length (Dispatch.residuals d));
+  check_against_build ~what:"never-accepting held" d held;
+  Dispatch.remove d ~rank:2;
+  Alcotest.(check int) "size" 1 (Dispatch.size d);
+  check_against_build ~what:"never-accepting removed" d [ (1, "sock", sock35) ]
+
+let test_priority_move () =
+  (* Both accept a type-2 packet to socket 35, from different groups. *)
+  let d = Dispatch.create () in
+  let type2 = Predicates.pup_type_is 2 in
+  Dispatch.add d ~rank:10 (fast_of type2) "type2";
+  Dispatch.add d ~rank:20 (fast_of sock35) "sock35";
+  let packet = Testutil.pup_frame ~ptype:2 ~dst_socket:35l () in
+  let winner () = Option.map snd (fst (Dispatch.classify d packet)) in
+  Alcotest.(check (option string)) "lower rank wins" (Some "type2") (winner ());
+  check_against_build ~what:"before the move" d
+    [ (10, "type2", type2); (20, "sock35", sock35) ];
+  (* Raise sock35 above type2: a priority change is a remove and an add
+     under the new rank. *)
+  Dispatch.remove d ~rank:20;
+  Dispatch.add d ~rank:5 (fast_of sock35) "sock35";
+  Alcotest.(check (option string)) "moved entry wins" (Some "sock35") (winner ());
+  check_against_build ~what:"after the move" d
+    [ (5, "sock35", sock35); (10, "type2", type2) ]
+
+type tenant = { name : string; mutable copy_all : bool }
+
+let test_copy_all_toggle () =
+  let indexable v = not v.copy_all in
+  let d = Dispatch.create ~indexable () in
+  let mon = { name = "monitor"; copy_all = false }
+  and con = { name = "consumer"; copy_all = false } in
+  Dispatch.add d ~rank:1 (fast_of sock35) mon;
+  Dispatch.add d ~rank:2 (fast_of sock35) con;
+  let check what =
+    let fresh =
+      Dispatch.build ~indexable [ (validate_exn sock35, mon); (validate_exn sock35, con) ]
+    in
+    check_same ~what ~name:(fun v -> v.name) d fresh
+  in
+  check "consumer shadowed";
+  (* The monitor turns copy-all: refiled, it goes residual, and the
+     consumer it shadowed is indexed. *)
+  mon.copy_all <- true;
+  Dispatch.remove d ~rank:1;
+  Dispatch.add d ~rank:1 (fast_of sock35) mon;
+  Alcotest.(check (list string)) "monitor excluded, consumer indexed"
+    [ "0 monitor: residual (excluded: copy-all or tap)";
+      "1 consumer: indexed on words [1 7 8], exact" ]
+    (decision_lines ~name:(fun v -> v.name) d);
+  check "monitor copy-all";
+  mon.copy_all <- false;
+  Dispatch.add d ~rank:1 (fast_of sock35) mon;
+  check "monitor back (add replaces the entry at its rank)"
+
+let test_group_emptied_and_refilled () =
+  let d = Dispatch.create () in
+  let packet = Testutil.pup_frame ~dst_socket:35l () in
+  Dispatch.add d ~rank:7 (fast_of sock35) "sock";
+  Alcotest.(check int) "one group" 1 (List.length (Dispatch.info d).Dispatch.groups);
+  Dispatch.remove d ~rank:7;
+  Alcotest.(check int) "emptied group dropped" 0
+    (List.length (Dispatch.info d).Dispatch.groups);
+  let winner, stats = Dispatch.classify d packet in
+  Alcotest.(check bool) "nothing wins" true (winner = None);
+  Alcotest.(check int) "no probe for the dropped group" 0 stats.Dispatch.probes;
+  check_against_build ~what:"emptied" d [];
+  Dispatch.add d ~rank:9 (fast_of sock35) "sock";
+  let winner, stats = Dispatch.classify d packet in
+  Alcotest.(check (option string)) "refilled group wins" (Some "sock")
+    (Option.map snd winner);
+  Alcotest.(check int) "one probe" 1 stats.Dispatch.probes;
+  check_against_build ~what:"refilled" d [ (9, "sock", sock35) ]
+
 (* {1 The seeded unsound-prefix-sharing mutant}
 
    Flip the automaton into accepting every slot-matched candidate on its
@@ -355,6 +596,8 @@ let suite =
         test_mirrored_mutations_cache_off;
       Alcotest.test_case "mirrored mutations, cache on" `Quick
         test_mirrored_mutations_cache_on;
+      Alcotest.test_case "reordered walk rebuilds until canonical again" `Quick
+        test_reordered_walk_rebuilds;
       Alcotest.test_case "unbounded read set falls back to the residual walk"
         `Quick test_unbounded_residual_fallback;
       Alcotest.test_case "classify + residual merge equals the linear walk"
@@ -365,6 +608,16 @@ let suite =
         test_never_accepts_dropped;
       Alcotest.test_case "excluded (copy-all) filter goes residual" `Quick
         test_copy_all_goes_residual;
+      Alcotest.test_case "remove un-shadows an identical filter" `Quick
+        test_remove_unshadows;
+      Alcotest.test_case "never-accepting filter added and removed" `Quick
+        test_never_accepts_add_remove;
+      Alcotest.test_case "priority move re-ranks one entry" `Quick
+        test_priority_move;
+      Alcotest.test_case "copy-all toggle refiles between slot and residual"
+        `Quick test_copy_all_toggle;
+      Alcotest.test_case "group emptied and refilled" `Quick
+        test_group_emptied_and_refilled;
       Alcotest.test_case "unsound-prefix-sharing mutant caught and shrunk"
         `Quick test_unsound_sharing_mutant_caught_and_shrunk;
     ] )

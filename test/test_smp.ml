@@ -67,6 +67,7 @@ let check_views name stats devices =
        ("pf.cache.bypass", cache (fun c -> c.Pfdev.bypasses));
        ("pf.cache.eviction", cache (fun c -> c.Pfdev.evictions));
        ("pf.dispatch.rebuild", dispatch (fun d -> d.Pfdev.rebuilds));
+       ("pf.dispatch.update", dispatch (fun d -> d.Pfdev.updates));
        ("pf.dispatch.classify", dispatch (fun d -> d.Pfdev.classifies));
        ("pf.dispatch.exact_accept", dispatch (fun d -> d.Pfdev.exact_accepts));
        ("pf.dispatch.residual_run", dispatch (fun d -> d.Pfdev.residual_runs));
@@ -281,12 +282,15 @@ let test_per_cpu_dispatch () =
   let gen =
     Gen.make ~blend:[ (Gen.Pup, 1.) ] ~seed:0xD15 ~flows:64 ~skew:Gen.Uniform ()
   in
-  List.iter
-    (fun f ->
-      let p = Pfdev.open_port pf in
-      set_filter_exn p (Gen.filter f);
-      Pfdev.set_queue_limit p 10_000)
-    (Gen.flows gen);
+  let ports =
+    List.map
+      (fun f ->
+        let p = Pfdev.open_port pf in
+        set_filter_exn p (Gen.filter f);
+        Pfdev.set_queue_limit p 10_000;
+        p)
+      (Gen.flows gen)
+  in
   Engine.run eng;
   Pfdev.set_cache_enabled pf false;
   let accepted = ref 0 in
@@ -301,7 +305,30 @@ let test_per_cpu_dispatch () =
   (* One lazy rebuild per CPU: each CPU owns a private automaton instance
      and compiles it on its own first packet. *)
   Alcotest.(check int) "one automaton rebuild per CPU" (Pfdev.ncpus pf)
-    ds.Pfdev.rebuilds
+    ds.Pfdev.rebuilds;
+  (* A port mutation updates every CPU's automaton in place, and each then
+     equals a fresh build. *)
+  Pfdev.close_port (List.hd ports);
+  set_filter_exn (List.nth ports 1) (Gen.filter ~priority:1 (Gen.flow gen 1));
+  let ds = Pfdev.dispatch_stats pf in
+  Alcotest.(check (pair int int)) "two updates per CPU, no rebuild"
+    (Pfdev.ncpus pf, 2 * Pfdev.ncpus pf)
+    (ds.Pfdev.rebuilds, ds.Pfdev.updates);
+  let decisions d =
+    List.map
+      (fun (r, p, dec) ->
+        Format.asprintf "%d %d %a" r (Pfdev.port_id p) Pf_filter.Dispatch.pp_decision dec)
+      (Pf_filter.Dispatch.decisions d)
+  in
+  let fresh = decisions (Pfdev.For_testing.fresh_dispatch pf) in
+  for cpu = 0 to Pfdev.ncpus pf - 1 do
+    match Pfdev.For_testing.dispatch pf ~cpu with
+    | Some d ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "cpu%d automaton equals a fresh build" cpu)
+        fresh (decisions d)
+    | None -> Alcotest.failf "cpu%d automaton was marked dirty" cpu
+  done
 
 (* {1 The generator's filters match exactly their own flows} *)
 
