@@ -19,6 +19,11 @@ type t = {
   mutable protocols : (int * (Pf_pkt.Packet.t -> unit)) list;
   mutable san_protocols : (San.t * San.resource) option;
       (* the protocol-dispatch table as a sanitized shared resource *)
+  (* Receive counters over every interface; the ["host.rx*"] keys and
+     ["host.interrupt_cpu_us"] are derived from them. *)
+  mutable rx_frames : int;
+  mutable rx_kernel_proto : int;
+  mutable rx_unclaimed : int;
 }
 
 let name t = t.name
@@ -32,16 +37,17 @@ let nic t = t.nic
 let addr t = Pf_net.Nic.addr t.nic
 let pf t = t.pf
 
-(* One receive path per interface: driver interrupt (on the receive CPU the
+(* {1 Receive path}
+
+   One receive path per interface: driver interrupt (on the receive CPU the
    NIC steered the frame to; CPU 0 without steering), then the type-field
    dispatch between host-wide kernel protocols and that interface's packet
    filter unit. Kernel-resident protocol handlers charge their own work via
    [in_kernel], which runs on the boot CPU — only the interrupt half of the
    receive path scales across CPUs, as in real kernels before per-CPU
-   protocol processing. *)
+   protocol processing. It counts into typed fields only. *)
 let rx t nic pf ~cpu:cpu_id frame =
-  Stats.incr t.stats "host.rx";
-  Stats.incr ~by:t.costs.Costs.recv_interrupt t.stats "host.interrupt_cpu_us";
+  t.rx_frames <- t.rx_frames + 1;
   let finish =
     Cpu.run (Smp.cpu t.smp cpu_id) ~owner:`Interrupt ~start:(Engine.now t.engine)
       ~cost:t.costs.Costs.recv_interrupt
@@ -64,12 +70,29 @@ let rx t nic pf ~cpu:cpu_id frame =
       in
       match kernel_handler with
       | Some handler ->
-        Stats.incr t.stats "host.rx.kernel_proto";
+        t.rx_kernel_proto <- t.rx_kernel_proto + 1;
         ignore (Pfdev.demux pf ~cpu:cpu_id ~kernel_claimed:true frame : bool);
         handler frame
       | None ->
         if not (Pfdev.demux pf ~cpu:cpu_id frame) then
-          Stats.incr t.stats "host.rx.unclaimed")
+          t.rx_unclaimed <- t.rx_unclaimed + 1)
+
+(* {1 Wiring} *)
+
+(* Each receive key exists once its count is positive; the driver time is
+   exactly one [recv_interrupt] per frame, so it exists with ["host.rx"],
+   possibly at 0. *)
+let derive_stats t =
+  let count name f =
+    Stats.derive t.stats name (fun () ->
+        let v = f () in
+        if v > 0 then Some v else None)
+  in
+  count "host.rx" (fun () -> t.rx_frames);
+  count "host.rx.kernel_proto" (fun () -> t.rx_kernel_proto);
+  count "host.rx.unclaimed" (fun () -> t.rx_unclaimed);
+  Stats.derive t.stats "host.interrupt_cpu_us" (fun () ->
+      if t.rx_frames > 0 then Some (t.rx_frames * t.costs.Costs.recv_interrupt) else None)
 
 (* Wire an interface's receive side. With steering, the NIC's receive
    hashing ({!Pfdev.steer}: the flow-cache key bytes modulo the CPU count)
@@ -108,8 +131,12 @@ let create ?(costs = Costs.microvax_ii) ?ncpus link ~name ~addr =
       extra_interfaces = [];
       protocols = [];
       san_protocols = None;
+      rx_frames = 0;
+      rx_kernel_proto = 0;
+      rx_unclaimed = 0;
     }
   in
+  derive_stats t;
   wire_rx t nic pf;
   t
 

@@ -71,6 +71,9 @@ let price (c : Costs.t) w =
   + (w.lock_acquires * c.Costs.lock_acquire)
   + w.lock_wait_us
 
+(* The walk: open ports keyed by [rank_of]. *)
+module Ranks = Map.Make (Int)
+
 type port = {
   dev : t;
   id : int;
@@ -88,7 +91,10 @@ type port = {
   mutable certification : Pf_filter.Equiv.certification option;
       (* translation-validation outcome of the install-time compilation;
          None when the device was not certifying at install time *)
-  mutable priority : int;
+  mutable priority : int; (* 0..255 *)
+  mutable order : int;
+      (* place among equal priorities: the id, until a busier-first reorder
+         renumbers the walk *)
   mutable timeout : Pf_sim.Time.t option;
   mutable queue_limit : int;
   queue : capture Queue.t;
@@ -111,11 +117,7 @@ and t = {
   variant : Frame.variant;
   address : Addr.t;
   send : Packet.t -> unit;
-  mutable ports : port list; (* walk order: priority desc, then id asc *)
-  mutable ordered : bool;
-      (* [ports] is known to be in that canonical order, every port with a
-         [rank_of]; false after a busier-first reorder until a rebuild
-         finds it so again *)
+  mutable ports : port Ranks.t; (* every open port, in walk order *)
   mutable next_id : int;
   mutable demuxed_since_reorder : int;
   mutable strategy : [ `Sequential | `Dispatch ];
@@ -170,7 +172,7 @@ and percpu = {
   table : (string, port list) Hashtbl.t;
   fifo : string Queue.t; (* insertion order, for capacity eviction *)
   mutable generation : int; (* bumped by every invalidation *)
-  mutable dispatch : dispatch_state;
+  mutable dispatch : port Pf_filter.Dispatch.t option; (* built on first use *)
   total : work; (* field-wise sum of every demux record on this CPU *)
   mutable packets : int; mutable accepts : int;
   mutable nomatch : int; (* neither accepted nor kernel-claimed *)
@@ -184,23 +186,13 @@ and percpu = {
   mutable reader_locks : int; (* readers' dequeue acquisitions, once charged *)
 }
 
-(* The cross-filter dispatch automaton ({!Pf_filter.Dispatch}). A port
-   mutation (close, install, priority, copy-all, tap) updates the built
-   automaton of every CPU it flushes in place: one remove and one add,
-   ranked by [rank_of]. Any other invalidation marks it dirty, and it is
-   rebuilt on first use. The automaton is private to the CPU, and
-   classification touches no cross-CPU state. *)
-and dispatch_state =
-  | Dispatch_dirty
-  | Dispatch_built of port Pf_filter.Dispatch.t
-
 and key_state =
   | Unusable (* some installed filter's read set is unbounded *)
   | Offsets of int array (* sorted union read set of the installed filters *)
 
 let fresh_percpu () =
   { table = Hashtbl.create 64; fifo = Queue.create (); generation = 0;
-    dispatch = Dispatch_dirty; total = no_work (); packets = 0; accepts = 0;
+    dispatch = None; total = no_work (); packets = 0; accepts = 0;
     nomatch = 0; hits = 0; misses = 0; bypasses = 0; evictions = 0; flushes = 0;
     classifies = 0; exact_accepts = 0; candidates = 0; residual_runs = 0;
     rebuilds = 0; updates = 0; lock_waits = 0; reader_locks = 0 }
@@ -256,8 +248,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     variant;
     address;
     send;
-    ports = [];
-    ordered = true;
+    ports = Ranks.empty;
     next_id = 0;
     demuxed_since_reorder = 0;
     strategy = `Sequential;
@@ -392,38 +383,35 @@ let san_table_write ?(cpu = 0) t =
   | Some h -> San.write h.checker ~cpu h.res_table
   | None -> ()
 
-(* {2 Automaton ranks}
+(* {2 Ranks}
 
-   A port's automaton rank is its place in the canonical walk — priority
-   descending, then id — packed into one int that no insert moves. It is
-   the walk order exactly while [t.ordered] holds. *)
+   One order key per port — priority descending, then [order] — keys the
+   walk, the residual merge and every automaton alike. *)
 
-let rank_bias = 1 lsl 30
+let rank_of p = ((255 - p.priority) lsl 31) lor p.order
 
-let rankable p =
-  p.priority > -rank_bias && p.priority < rank_bias && p.id < 1 lsl 31
+(* Where an open port is filed; a closed one is in no walk or automaton. *)
+let filed p = if p.is_open then Some (rank_of p) else None
 
-let rank_of p = ((rank_bias - p.priority) lsl 31) lor p.id
+(* Copy-all and tap ports are not indexable: their multi-delivery cannot be
+   expressed by a first-match winner. *)
+let indexable p = (not p.copy_all) && not p.tap
 
-let rec canonical = function
-  | a :: (b :: _ as rest) -> rankable a && rank_of a < rank_of b && canonical rest
-  | [ a ] -> rankable a
-  | [] -> true
-
-(* File [port] in automaton [d] under [rank], if the walk applies its
-   filter. *)
-let dispatch_add d ~rank port =
+(* File [port] in automaton [d], if the walk applies its filter. *)
+let dispatch_add d port =
   match port.filter with
-  | Some fast when port.is_open -> Pf_filter.Dispatch.add d ~rank fast port
+  | Some fast when port.is_open -> Pf_filter.Dispatch.add d ~rank:(rank_of port) fast port
   | Some _ | None -> ()
 
-(* The automaton update for a mutation of [port], which had rank [rank]
-   before it: take the old entry out and file the port anew. *)
-let refile ~rank port =
-  `Update
-    (fun d ->
-      Pf_filter.Dispatch.remove d ~rank;
-      dispatch_add d ~rank:(rank_of port) port)
+(* The automaton update for a mutation of [port], filed under [before]
+   until now: take the old entry out and file the port anew. *)
+let refile ~before port c =
+  match c.dispatch with
+  | Some d ->
+    Option.iter (fun rank -> Pf_filter.Dispatch.remove d ~rank) before;
+    dispatch_add d port;
+    c.updates <- c.updates + 1
+  | None -> ()
 
 (* Count [port]'s installed read set into ([delta] = 1) or out of (-1) the
    flow-cache key. *)
@@ -448,24 +436,16 @@ let count_read_set t port delta =
           t.readers.(i) <- t.readers.(i) + delta)
         idxs)
 
-(* [dispatch] says what an invalidation does to each flushed CPU's built
-   automaton: [`Rebuild] marks it dirty, [`Keep] leaves it, and [`Update f]
-   brings it up to date in place — unless ranks no longer follow the walk,
-   when it too marks it dirty. *)
-let invalidate_cache ?(cpu = 0) ?(dispatch = `Rebuild) t =
+(* [refile] is what the invalidation does to each flushed CPU's automaton:
+   a port mutation brings it up to date in place. By default it is left
+   alone, since no entry depends on strategy or policy. *)
+let invalidate_cache ?(cpu = 0) ?(refile = ignore) t =
   (* An acceptor-changing mutation: tell the protocol checker a new
      configuration epoch begins now, before any CPU syncs to it. *)
   (match t.san with Some h -> San.publish h.checker ~cpu h.res_table | None -> ());
-  (* The dispatch automaton is sound under exactly the invariants the flow
-     cache is, so the two share one invalidation set. *)
   let flush_one k =
     let c = t.cpus.(k) in
-    (match (c.dispatch, dispatch) with
-    | _, `Keep -> ()
-    | Dispatch_built d, `Update update when t.ordered ->
-      update d;
-      c.updates <- c.updates + 1
-    | _, (`Rebuild | `Update _) -> c.dispatch <- Dispatch_dirty);
+    refile c;
     c.generation <- c.generation + 1;
     if Hashtbl.length c.table > 0 then begin
       Hashtbl.reset c.table;
@@ -499,45 +479,39 @@ let invalidate_cache ?(cpu = 0) ?(dispatch = `Rebuild) t =
   end;
   Stats.incr t.stats "pf.cache.invalidation"
 
-(* Stable order: decreasing priority, then open order — maintained at
-   mutation time ([insert_port]/[reprioritize]), not by re-sorting on the
-   demux path. The occasional busier-first reordering of equal-priority
-   filters (section 3.2) happens in [maybe_reorder]. *)
-let insert_port t port =
-  let rec ins = function
-    | [] -> [ port ]
-    | p :: _ as l when p.priority < port.priority || (p.priority = port.priority && p.id > port.id)
-      -> port :: l
-    | p :: rest -> p :: ins rest
-  in
-  t.ports <- ins t.ports
-
-(* A closed port stays out of the walk. *)
+(* The walk is kept in order at mutation time, one map update per
+   mutation, not by re-sorting on the demux path. A closed port stays out
+   of it. *)
 let reprioritize t port priority =
-  t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
-  port.priority <- priority;
-  if not (rankable port) then t.ordered <- false;
-  if port.is_open then insert_port t port
+  if port.is_open then t.ports <- Ranks.remove (rank_of port) t.ports;
+  port.priority <- max 0 (min 255 priority);
+  if port.is_open then t.ports <- Ranks.add (rank_of port) port t.ports
 
+(* The occasional busier-first reordering of equal-priority filters
+   (section 3.2) renumbers [order] along the new walk. Ids are never
+   reused, so a port opened later still lands last in its priority band. *)
 let maybe_reorder ?cpu t =
   t.demuxed_since_reorder <- t.demuxed_since_reorder + 1;
   if t.demuxed_since_reorder >= 256 then begin
     t.demuxed_since_reorder <- 0;
-    let before = List.map (fun p -> p.id) t.ports in
-    t.ports <-
+    let walk = List.map snd (Ranks.bindings t.ports) in
+    let reordered =
       List.stable_sort
         (fun a b ->
           match compare b.priority a.priority with
           | 0 -> compare b.accepted a.accepted (* busier first *)
           | c -> c)
-        t.ports;
+        walk
+    in
     (* Reordering equal-priority overlapping filters can change which port
        wins a packet, so any cached decision taken under the old order is
-       stale. *)
-    if List.map (fun p -> p.id) t.ports <> before then begin
-      t.ordered <- false;
+       stale, and every automaton's ranks moved. This runs only under
+       [`Sequential], where no automaton is consulted: drop them. *)
+    if not (List.equal ( == ) walk reordered) then begin
+      List.iteri (fun i p -> p.order <- i) reordered;
+      t.ports <- Ranks.of_seq (Seq.map (fun p -> (rank_of p, p)) (List.to_seq reordered));
       san_table_write ?cpu t;
-      invalidate_cache ?cpu t
+      invalidate_cache ?cpu ~refile:(fun c -> c.dispatch <- None) t
     end
   end
 
@@ -562,6 +536,7 @@ let open_port t =
       analysis = None;
       certification = None;
       priority = 0;
+      order = t.next_id;
       timeout = None;
       queue_limit = 32;
       queue = Queue.create ();
@@ -576,21 +551,22 @@ let open_port t =
       accepted = 0;
     }
   in
-  insert_port t port;
-  if not (rankable port) then t.ordered <- false;
+  t.ports <- Ranks.add (rank_of port) port t.ports;
   san_table_write t;
   (* A port with no filter is in no automaton. *)
-  invalidate_cache ~dispatch:`Keep t;
+  invalidate_cache t;
   port
 
 let close_port port =
   let t = port.dev in
-  if port.is_open then count_read_set t port (-1);
+  let before = filed port in
+  if port.is_open then begin
+    count_read_set t port (-1);
+    t.ports <- Ranks.remove (rank_of port) t.ports
+  end;
   port.is_open <- false;
-  t.ports <- List.filter (fun p -> p.id <> port.id) t.ports;
   san_table_write t;
-  let rank = rank_of port in
-  invalidate_cache t ~dispatch:(`Update (fun d -> Pf_filter.Dispatch.remove d ~rank));
+  invalidate_cache t ~refile:(refile ~before port);
   (* Wake any blocked readers; they will notice the port is closed. *)
   ignore (Condition.broadcast port.cond () : int)
 
@@ -695,7 +671,7 @@ let install port program =
     | _ ->
       (* "at a cost comparable to that of receiving a packet" (§3.1) *)
       charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
-      let rank = rank_of port in
+      let before = filed port in
       if port.is_open then count_read_set t port (-1);
       port.filter <- Some fast;
       port.regvm <- regvm;
@@ -711,7 +687,7 @@ let install port program =
       reprioritize t port (Pf_filter.Program.priority program);
       san_table_write t;
       if not !Mutants.skip_install_invalidation then
-        invalidate_cache t ~dispatch:(refile ~rank port)
+        invalidate_cache t ~refile:(refile ~before port)
       else begin
         (* The buggy kernel still mutated the acceptor set — and left every
            automaton as it was, stale entry and all. The protocol
@@ -734,10 +710,10 @@ let port_accepted port = port.accepted
 let port_dropped port = port.dropped
 
 let set_priority port priority =
-  let rank = rank_of port in
+  let before = filed port in
   reprioritize port.dev port priority;
   san_table_write port.dev;
-  invalidate_cache port.dev ~dispatch:(refile ~rank port)
+  invalidate_cache port.dev ~refile:(refile ~before port)
 
 let set_strategy t strategy =
   t.strategy <- strategy;
@@ -784,10 +760,10 @@ let set_queue_limit port n = port.queue_limit <- max 1 n
    between a slot and the residual walk. *)
 let set_copy_all port flag =
   port.copy_all <- flag;
-  invalidate_cache port.dev ~dispatch:(refile ~rank:(rank_of port) port)
+  invalidate_cache port.dev ~refile:(refile ~before:(filed port) port)
 let set_tap port flag =
   port.tap <- flag;
-  invalidate_cache port.dev ~dispatch:(refile ~rank:(rank_of port) port)
+  invalidate_cache port.dev ~refile:(refile ~before:(filed port) port)
 let set_timestamps port flag = port.timestamps <- flag
 let set_signal port cb = port.signal <- cb
 
@@ -873,34 +849,23 @@ let enqueue port capture =
 
 (* Every open port with an installed filter, in walk order. *)
 let filtered_ports t =
-  List.filter_map
-    (fun p ->
-      match p.validated with
-      | Some v when p.is_open -> Some (v, p)
-      | Some _ | None -> None)
-    t.ports
+  Ranks.fold
+    (fun _ p acc -> match p.validated with Some v -> (v, p) :: acc | None -> acc)
+    t.ports []
+  |> List.rev
 
-(* The whole-port-set dispatch automaton, built from scratch after an
-   invalidation that did not update it. Copy-all and tap ports are
-   excluded from indexing (their multi-delivery cannot be expressed by a
-   first-match winner) and fall to the rank-ordered residual walk, which
-   [classify_dispatch] merges with the automaton winner by rank. While a
-   busier-first reorder keeps the walk out of canonical order, ranks are
-   walk positions instead, and mutations mark the automaton dirty rather
-   than update it. *)
+(* The whole-port-set dispatch automaton, built on first use and after a
+   reorder dropped it. Copy-all and tap ports fall to the rank-ordered
+   residual walk, which [classify_dispatch] merges with the automaton
+   winner by rank. *)
 let dispatch_of t cpu =
   let c = t.cpus.(cpu) in
   match c.dispatch with
-  | Dispatch_built d -> d
-  | Dispatch_dirty ->
-    if not t.ordered then t.ordered <- canonical t.ports;
-    let d =
-      Pf_filter.Dispatch.create ~indexable:(fun p -> (not p.copy_all) && not p.tap) ()
-    in
-    List.iteri
-      (fun i p -> dispatch_add d ~rank:(if t.ordered then rank_of p else i) p)
-      t.ports;
-    c.dispatch <- Dispatch_built d;
+  | Some d -> d
+  | None ->
+    let d = Pf_filter.Dispatch.create ~indexable () in
+    Ranks.iter (fun _ p -> dispatch_add d p) t.ports;
+    c.dispatch <- Some d;
     c.rebuilds <- c.rebuilds + 1;
     d
 
@@ -1055,20 +1020,25 @@ let run_filter w port frame =
   port.engine_insns <- port.engine_insns + insns;
   ok
 
+exception Walk_done
+
 (* Figure 4-1: apply the filters in walk order until one accepts, going on
    past acceptors that asked for copies. Kernel-claimed packets are only
    offered to tap ports. *)
 let classify_sequential t w ~kernel_claimed frame =
-  let rec walk acc = function
-    | [] -> List.rev acc
-    | port :: rest ->
-      if (not port.is_open) || port.filter = None || (kernel_claimed && not port.tap)
-      then walk acc rest
-      else if run_filter w port frame then
-        if port.copy_all then walk (port :: acc) rest else List.rev (port :: acc)
-      else walk acc rest
-  in
-  walk [] t.ports
+  let acc = ref [] in
+  (try
+     Ranks.iter
+       (fun _ port ->
+         if Option.is_some port.filter && ((not kernel_claimed) || port.tap)
+            && run_filter w port frame
+         then begin
+           acc := port :: !acc;
+           if not port.copy_all then raise_notrace Walk_done
+         end)
+       t.ports
+   with Walk_done -> ());
+  List.rev !acc
 
 (* Automaton classification, then the residual walk merged by rank: walk
    residual ports of lower rank than the automaton winner (a residual may
@@ -1446,11 +1416,8 @@ let shadowed_ports t =
 module For_testing = struct
   include Mutants
 
-  let dispatch t ~cpu =
-    match t.cpus.(cpu).dispatch with Dispatch_built d -> Some d | Dispatch_dirty -> None
-
-  let fresh_dispatch t =
-    Pf_filter.Dispatch.build ~indexable:(fun p -> (not p.copy_all) && not p.tap) (filtered_ports t)
+  let dispatch t ~cpu = t.cpus.(cpu).dispatch
+  let fresh_dispatch t = Pf_filter.Dispatch.build ~indexable (filtered_ports t)
 
   let cache_key_offsets t =
     match key_state t with Unusable -> None | Offsets offsets -> Some offsets

@@ -110,8 +110,11 @@ val port_dropped : port -> int
 
 val set_priority : port -> int -> unit
 (** Re-rank the port without reinstalling its filter; the priority normally
-    comes from the installed program's header ({!install}). A closed port
-    only records it: it never rejoins the walk. *)
+    comes from the installed program's header ({!install}). Clamped to
+    0..255, the range of {!Pf_filter.Program.v}. The port keeps its place
+    among ports of its new priority: opening order, or the order of the
+    last busier-first reorder. A closed port only records it: it never
+    rejoins the walk. *)
 
 val set_strategy : t -> [ `Sequential | `Dispatch ] -> unit
 (** Demultiplexing strategy. [`Sequential] (the default) applies filters in
@@ -121,15 +124,18 @@ val set_strategy : t -> [ `Sequential | `Dispatch ] -> unit
     {e groups}, not the number of ports. Copy-all and tap ports join the
     residual walk, which is merged with the automaton winner by walk rank,
     so delivered-port sets are identical to the sequential walk (the fuzz
-    oracle and [test_dispatch] enforce this). The automaton follows exactly
-    the mutations that flush the flow cache: {!close_port}, {!install}/
-    {!set_filter}, {!set_priority}, {!set_copy_all} and {!set_tap} update
-    each CPU's built automaton in place, touching the one port's group and
-    slot; {!open_port} leaves it alone (a port with no filter is not in
-    it); every other flush (strategy, compile strategy, cache policy, cost
-    limit, a busier-first reorder) marks it dirty, to be rebuilt on first
-    use. Updated or rebuilt, it equals a fresh {!Pf_filter.Dispatch.build}
-    of the installed filters in walk order.
+    oracle and [test_dispatch] enforce this). The walk, the residual merge
+    and the automaton share one rank per port (priority descending, then
+    place in the walk). Each CPU builds its automaton on first use;
+    {!close_port}, {!install}/{!set_filter}, {!set_priority},
+    {!set_copy_all} and {!set_tap} then update every built one in place,
+    touching the one port's group and slot. {!open_port}, the strategy and
+    every policy setting (compile strategy, cache, cost limit) leave it
+    alone: no entry depends on them. Only a busier-first reorder that
+    changed the walk drops it, to be rebuilt on next use; a reorder runs
+    only under [`Sequential], which consults no automaton. Updated or
+    rebuilt, it equals a fresh {!Pf_filter.Dispatch.build} of the installed
+    filters in walk order.
     Kernel-claimed packets bypass the automaton (taps-only delivery is a
     different port subset) and take the sequential walk. *)
 
@@ -336,8 +342,9 @@ val pp_cache_stats : Format.formatter -> cache_stats -> unit
 
 type dispatch_stats = {
   rebuilds : int;
-      (** full automaton builds: the first use, and the first use after an
-          invalidation that did not update the automaton in place *)
+      (** full automaton builds, one per CPU: on first use, and on the
+          first use after a busier-first reorder dropped it
+          (["pf.dispatch.rebuild"]) *)
   updates : int;
       (** port mutations applied to a built automaton in place, one per
           mutation and CPU (["pf.dispatch.update"]) *)
@@ -442,7 +449,8 @@ module For_testing : sig
       lockset checker catches it. Never set it outside tests. *)
 
   val dispatch : t -> cpu:int -> port Pf_filter.Dispatch.t option
-  (** CPU [cpu]'s built automaton, as maintained; [None] while dirty. *)
+  (** CPU [cpu]'s built automaton, as maintained; [None] before its first
+      use and after a reorder dropped it. *)
 
   val fresh_dispatch : t -> port Pf_filter.Dispatch.t
   (** A {!Pf_filter.Dispatch.build} from scratch of the open filtered ports

@@ -1,13 +1,14 @@
 (* The cross-filter dispatch automaton, tested differentially against the
    sequential walk it replaces: mirrored devices receive identical mutation
    streams (install / close / set_priority / set_filter / set_tap /
-   set_copy_all) and identical packets, and must agree on every verdict and
-   on per-port accept/drop accounting, while the automaton the device keeps
-   current in place must equal one built from scratch after every
-   mutation; plus residual-fallback coverage for unbounded read sets,
-   direct unit tests of the build decisions and of incremental add/remove,
-   and the seeded unsound-prefix-sharing mutant, which the fuzz oracle must
-   catch and shrink. *)
+   set_copy_all, and cache / compile / cost-limit policy toggles) and
+   identical packets, and must agree on every verdict and on per-port
+   accept/drop accounting, while the automaton the device keeps current in
+   place must equal one built from scratch after every mutation; plus
+   busier-first reorder coverage, residual-fallback coverage for unbounded
+   read sets, direct unit tests of the build decisions and of incremental
+   add/remove, and the seeded unsound-prefix-sharing mutant, which the fuzz
+   oracle must catch and shrink. *)
 
 open Pf_kernel
 module Packet = Pf_pkt.Packet
@@ -90,7 +91,8 @@ let check_same ~what ~name maintained fresh =
    after a mutation. After every mutation the automaton the [`Dispatch]
    device maintains must also equal a from-scratch build of its ports, and
    both devices' flow-cache key offsets must equal the union read set of
-   the installed filters, recomputed. *)
+   the installed filters, recomputed. Policy toggles refile nothing: the
+   automaton is built once, on first use, and never again. *)
 
 let port_name p = string_of_int (Pfdev.port_id p)
 
@@ -153,8 +155,12 @@ let run_mirrored ~seed ~cache ~steps =
     | [] -> None
     | l -> Some (List.nth l (Rng.int rng (List.length l)))
   in
+  let both f =
+    f dev_s;
+    f dev_a
+  in
   let mutate rng =
-    match Rng.int rng 6 with
+    match Rng.int rng 7 with
     | 0 ->
       let ps, pa = open_pair () in
       let p = random_program rng in
@@ -188,13 +194,28 @@ let run_mirrored ~seed ~cache ~steps =
         Pfdev.set_copy_all ps flag;
         Pfdev.set_copy_all pa flag
       | None -> ())
-    | _ -> (
+    | 5 -> (
       match pick rng with
       | Some (ps, pa) ->
         let flag = Rng.bool rng in
         Pfdev.set_tap ps flag;
         Pfdev.set_tap pa flag
       | None -> ())
+    | _ -> (
+      match Rng.int rng 4 with
+      | 0 ->
+        both (fun d ->
+            Pfdev.set_cache_enabled d (not cache);
+            Pfdev.set_cache_enabled d cache)
+      | 1 ->
+        let n = 1 + Rng.int rng 16 in
+        both (fun d -> Pfdev.set_cache_capacity d n)
+      | 2 ->
+        let s = if Rng.bool rng then `Regvm else `Off in
+        both (fun d -> Pfdev.set_compile_strategy d s)
+      | _ ->
+        let limit = if Rng.bool rng then Some 1_000_000 else None in
+        both (fun d -> Pfdev.set_cost_limit d limit))
   in
   for step = 1 to steps do
     mutate rng;
@@ -202,7 +223,9 @@ let run_mirrored ~seed ~cache ~steps =
     (match Pfdev.For_testing.dispatch dev_a ~cpu:0 with
     | Some maintained ->
       check_same ~what ~name:port_name maintained (Pfdev.For_testing.fresh_dispatch dev_a)
-    | None -> ());
+    | None ->
+      Alcotest.(check int) (what ^ ": no automaton, never built") 0
+        (Pfdev.dispatch_stats dev_a).Pfdev.rebuilds);
     Alcotest.(check (option (array int)))
       (what ^ ": sequential key offsets")
       (expected_key_offsets (List.map fst !ports))
@@ -252,15 +275,23 @@ let test_mirrored_mutations_cache_on () =
     (fun seed -> run_mirrored ~seed ~cache:true ~steps:40)
     [ 6; 7; 8; 9; 10 ]
 
-(* {1 A busier-first reorder: positional ranks until the walk is canonical}
+(* {1 A busier-first reorder renumbers the one walk order}
 
-   Under [`Sequential], a busier-first reorder can leave the port list out
-   of (priority, id) order, so rank keys no longer follow the walk. The
-   next build must rank by position and every mutation must rebuild, until
-   a build finds the list canonical again; from then on mutations update
-   the automaton in place. *)
+   Under [`Sequential], a busier-first reorder moves the busiest port to
+   the front of its priority band. The walk, the residual merge and the
+   automaton share one rank per port, so the automaton built afterwards
+   follows the reordered walk, and later mutations update it in place. *)
 
-let test_reordered_walk_rebuilds () =
+(* Port ids in walk order, read off a fresh build of the walk. *)
+let walk_ids dev =
+  List.map
+    (fun (_, p, _) -> Pfdev.port_id p)
+    (Dispatch.decisions (Pfdev.For_testing.fresh_dispatch dev))
+
+(* Three equal-priority ports on sockets 35..37, then 256 walks to the last
+   one: it becomes the busiest and the reorder moves it first. [prepare]
+   runs just ahead of the walks. *)
+let reordered_dev ?(prepare = ignore) () =
   let eng, dev = mk_dev () in
   Pfdev.set_cache_enabled dev false;
   let ports =
@@ -272,11 +303,21 @@ let test_reordered_walk_rebuilds () =
         p)
       [ 35l; 36l; 37l ]
   in
-  (* 256 walks to the last port make it the busiest: it moves first. *)
+  prepare dev;
+  let before = walk_ids dev in
   for _ = 1 to 256 do
     ignore (Pfdev.demux dev (Testutil.pup_frame ~dst_socket:37l ()) : bool)
   done;
   Pf_sim.Engine.run eng;
+  let ids = List.map Pfdev.port_id ports in
+  Alcotest.(check (list int)) "walk in open order" ids before;
+  Alcotest.(check (list int)) "busiest port moved first"
+    [ List.nth ids 2; List.nth ids 0; List.nth ids 1 ]
+    (walk_ids dev);
+  (dev, ports)
+
+let test_reordered_walk_updated_in_place () =
+  let dev, ports = reordered_dev () in
   Pfdev.set_strategy dev `Dispatch;
   let demux_and_check what =
     ignore (Pfdev.demux dev (Testutil.pup_frame ~dst_socket:36l ()) : bool);
@@ -292,15 +333,47 @@ let test_reordered_walk_rebuilds () =
   Alcotest.(check (pair int int)) "one build" (1, 0) (counts ());
   let first, last = (List.hd ports, List.nth ports 2) in
   Pfdev.set_copy_all first true;
-  demux_and_check "mutated while out of order";
-  Alcotest.(check (pair int int)) "rebuilt, not updated" (2, 0) (counts ());
-  (* Closing the port the reorder moved restores the canonical order. *)
+  demux_and_check "copy-all after the reorder";
+  Alcotest.(check (pair int int)) "updated, not rebuilt" (1, 1) (counts ());
   Pfdev.close_port last;
-  demux_and_check "canonical again";
-  Alcotest.(check (pair int int)) "rebuilt once more" (3, 0) (counts ());
-  Pfdev.set_copy_all first false;
-  demux_and_check "updated in place";
-  Alcotest.(check (pair int int)) "updated, not rebuilt" (3, 1) (counts ())
+  demux_and_check "the moved port closed";
+  Alcotest.(check (pair int int)) "updated again" (1, 2) (counts ())
+
+(* After a reorder, a reinstall or a same-band priority change keeps the
+   port's place, and a port opened later lands last in its band. A
+   priority outside 0..255 ranks as the nearest bound. Policy changes keep
+   a built automaton; only a reorder that changed the walk drops it. *)
+let test_reorder_keeps_places () =
+  let built dev = Pfdev.For_testing.dispatch dev ~cpu:0 <> None in
+  let policy dev =
+    Pfdev.set_strategy dev `Dispatch;
+    ignore (Pfdev.demux dev (Testutil.pup_frame ~dst_socket:99l ()) : bool);
+    Pfdev.set_strategy dev `Sequential;
+    Pfdev.set_cache_enabled dev true;
+    Pfdev.set_cache_enabled dev false;
+    Pfdev.set_cache_capacity dev 4;
+    Pfdev.set_compile_strategy dev `Regvm;
+    Pfdev.set_compile_strategy dev `Off;
+    Pfdev.set_cost_limit dev (Some 1_000_000);
+    Alcotest.(check bool) "strategy and policy keep the automaton" true (built dev)
+  in
+  let dev, ports = reordered_dev ~prepare:policy () in
+  Alcotest.(check bool) "the reorder dropped it" false (built dev);
+  let a, b, c = (List.nth ports 0, List.nth ports 1, List.nth ports 2) in
+  let id = Pfdev.port_id in
+  set_filter_exn a (Predicates.pup_dst_socket 35l);
+  Pfdev.set_priority b 0;
+  Alcotest.(check (list int)) "reinstall and same priority keep their place"
+    [ id c; id a; id b ] (walk_ids dev);
+  let d = Pfdev.open_port dev in
+  set_filter_exn d (Predicates.pup_dst_socket 38l);
+  Alcotest.(check (list int)) "a new port lands last" [ id c; id a; id b; id d ]
+    (walk_ids dev);
+  Pfdev.set_priority a 255;
+  Pfdev.set_priority d 300;
+  Alcotest.(check (list int)) "300 ranks as 255" [ id a; id d; id c; id b ] (walk_ids dev);
+  Pfdev.set_priority c (-5);
+  Alcotest.(check (list int)) "-5 ranks as 0" [ id a; id d; id c; id b ] (walk_ids dev)
 
 (* {1 Residual fallback: unbounded read sets}
 
@@ -596,8 +669,10 @@ let suite =
         test_mirrored_mutations_cache_off;
       Alcotest.test_case "mirrored mutations, cache on" `Quick
         test_mirrored_mutations_cache_on;
-      Alcotest.test_case "reordered walk rebuilds until canonical again" `Quick
-        test_reordered_walk_rebuilds;
+      Alcotest.test_case "reordered walk built once, then updated in place" `Quick
+        test_reordered_walk_updated_in_place;
+      Alcotest.test_case "reorder keeps places; priorities clamp to 0..255" `Quick
+        test_reorder_keeps_places;
       Alcotest.test_case "unbounded read set falls back to the residual walk"
         `Quick test_unbounded_residual_fallback;
       Alcotest.test_case "classify + residual merge equals the linear walk"

@@ -92,6 +92,30 @@ let test_views_agree () =
       check_views d.Stats_drives.name (Host.stats d.Stats_drives.host) d.Stats_drives.devices)
     (Stats_drives.all ())
 
+(* [Host.rx] counts into typed fields as well: every received frame is
+   demultiplexed once on one of the host's devices, an unclaimed frame is
+   exactly a device no-match, and the driver time is one [recv_interrupt]
+   per frame. The keys are derived, so a push by name raises. *)
+let test_host_rx_keys () =
+  List.iter
+    (fun (d : Stats_drives.drive) ->
+      let stats = Host.stats d.Stats_drives.host in
+      let get = Stats.get stats and name = d.Stats_drives.name in
+      let packets pf =
+        List.fold_left (fun acc c -> acc + c.Pfdev.packets) 0 (Pfdev.smp_stats pf).Pfdev.per_cpu
+      in
+      Alcotest.(check int) (name ^ ": host.rx is the frames demultiplexed")
+        (List.fold_left (fun acc pf -> acc + packets pf) 0 d.Stats_drives.devices)
+        (get "host.rx");
+      Alcotest.(check int) (name ^ ": host.rx.unclaimed is the no-matches")
+        (get "pf.drop.nomatch") (get "host.rx.unclaimed");
+      Alcotest.(check int) (name ^ ": host.interrupt_cpu_us")
+        (get "host.rx" * (Host.costs d.Stats_drives.host).Pf_sim.Costs.recv_interrupt)
+        (get "host.interrupt_cpu_us");
+      Alcotest.check_raises (name ^ ": host.rx is derived")
+        (Invalid_argument "Stats.incr: derived key host.rx") (fun () -> Stats.incr stats "host.rx"))
+    (Stats_drives.all ())
+
 (* {1 Determinism: same seed, byte-identical stats at 4 CPUs} *)
 
 let test_determinism_4cpu () =
@@ -475,4 +499,6 @@ let suite =
       Alcotest.test_case "demux charges exactly its priced work records" `Quick
         test_work_record_identity;
       Alcotest.test_case "counter views and pf.* keys agree" `Quick test_views_agree;
+      Alcotest.test_case "host receive keys derive from its counters" `Quick
+        test_host_rx_keys;
     ] )
