@@ -24,9 +24,7 @@ let analysis t = t.analysis
 let runs_checkless t packet =
   Packet.word_count packet >= t.analysis.Analysis.safe_packet_words
 
-exception Done of bool * int
-
-let run_counted t packet =
+let run_packed t packet =
   let words = Packet.word_count packet in
   (* When the packet covers every constant offset the program can touch, the
      loop below performs no packet bounds checks at all. A shorter packet
@@ -40,62 +38,69 @@ let run_counted t packet =
      every access — constant or data-flow-derived — even those checks are
      skipped and the whole run is checkless. *)
   let need_ind_check = words < t.analysis.Analysis.safe_packet_words in
-  begin
-    let stack = t.stack in
-    let sp = ref 0 in
-    let n = Array.length t.insns in
-    try
-      for pc = 0 to n - 1 do
-        let insn = t.insns.(pc) in
-        (match insn.Insn.action with
-        | Action.Nopush -> ()
-        | Action.Pushlit v ->
-          stack.(!sp) <- v;
+  let stack = t.stack and insns = t.insns in
+  let n = Array.length insns in
+  let sp = ref 0 and pc = ref 0 in
+  (* The packed outcome once the program terminates early; -1 while it
+     runs. [pc] already counts the terminating instruction. *)
+  let outcome = ref (-1) in
+  while !outcome < 0 && !pc < n do
+    let insn = insns.(!pc) in
+    incr pc;
+    (match insn.Insn.action with
+    | Action.Nopush -> ()
+    | Action.Pushlit v ->
+      stack.(!sp) <- v;
+      incr sp
+    | Action.Pushzero ->
+      stack.(!sp) <- 0;
+      incr sp
+    | Action.Pushone ->
+      stack.(!sp) <- 1;
+      incr sp
+    | Action.Pushffff ->
+      stack.(!sp) <- 0xffff;
+      incr sp
+    | Action.Pushff00 ->
+      stack.(!sp) <- 0xff00;
+      incr sp
+    | Action.Push00ff ->
+      stack.(!sp) <- 0x00ff;
+      incr sp
+    | Action.Pushword i ->
+      if need_check && i >= words then outcome := !pc lsl 1
+      else begin
+        stack.(!sp) <- Packet.word packet i;
+        incr sp
+      end
+    | Action.Pushind ->
+      let index = stack.(!sp - 1) in
+      if need_ind_check && index >= words then outcome := !pc lsl 1
+      else stack.(!sp - 1) <- Packet.word packet index);
+    if !outcome < 0 then
+      match insn.Insn.op with
+      | Op.Nop -> ()
+      | op ->
+        let t1 = stack.(!sp - 1) in
+        let t2 = stack.(!sp - 2) in
+        sp := !sp - 2;
+        (* [Op.apply_int] keeps the ALU allocation-free: [Op.apply]'s
+           [Push r] result boxed a fresh variant on every arithmetic
+           instruction. A fault and a rejecting short-circuit both
+           terminate rejecting, so the two negative sentinels besides
+           [apply_accept] need no distinction here. *)
+        let r = Op.apply_int op ~t2 ~t1 in
+        if r >= 0 then begin
+          stack.(!sp) <- r;
           incr sp
-        | Action.Pushzero ->
-          stack.(!sp) <- 0;
-          incr sp
-        | Action.Pushone ->
-          stack.(!sp) <- 1;
-          incr sp
-        | Action.Pushffff ->
-          stack.(!sp) <- 0xffff;
-          incr sp
-        | Action.Pushff00 ->
-          stack.(!sp) <- 0xff00;
-          incr sp
-        | Action.Push00ff ->
-          stack.(!sp) <- 0x00ff;
-          incr sp
-        | Action.Pushword i ->
-          if need_check && i >= words then raise (Done (false, pc + 1));
-          stack.(!sp) <- Packet.word packet i;
-          incr sp
-        | Action.Pushind ->
-          let index = stack.(!sp - 1) in
-          if need_ind_check && index >= words then raise (Done (false, pc + 1));
-          stack.(!sp - 1) <- Packet.word packet index);
-        match insn.Insn.op with
-        | Op.Nop -> ()
-        | op -> (
-          let t1 = stack.(!sp - 1) in
-          let t2 = stack.(!sp - 2) in
-          sp := !sp - 2;
-          (* [Op.apply_int] keeps the ALU allocation-free: [Op.apply]'s
-             [Push r] result boxed a fresh variant on every arithmetic
-             instruction. A fault and a rejecting short-circuit both
-             terminate [(false, pc + 1)], so the two negative sentinels
-             besides [apply_accept] need no distinction here. *)
-          let r = Op.apply_int op ~t2 ~t1 in
-          if r >= 0 then begin
-            stack.(!sp) <- r;
-            incr sp
-          end
-          else raise (Done (r = Op.apply_accept, pc + 1)))
-      done;
-      let accept = !sp = 0 || stack.(!sp - 1) <> 0 in
-      (accept, n)
-    with Done (accept, executed) -> (accept, executed)
-  end
+        end
+        else outcome := (!pc lsl 1) lor Bool.to_int (r = Op.apply_accept)
+  done;
+  if !outcome >= 0 then !outcome
+  else (n lsl 1) lor Bool.to_int (!sp = 0 || stack.(!sp - 1) <> 0)
 
-let run t packet = fst (run_counted t packet)
+let run_counted t packet =
+  let packed = run_packed t packet in
+  (packed land 1 = 1, packed lsr 1)
+
+let run t packet = run_packed t packet land 1 = 1

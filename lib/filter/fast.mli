@@ -33,3 +33,7 @@ val run : t -> Pf_pkt.Packet.t -> bool
 val run_counted : t -> Pf_pkt.Packet.t -> bool * int
 (** Also returns the number of instructions executed, for the simulator's CPU
     cost accounting. *)
+
+val run_packed : t -> Pf_pkt.Packet.t -> int
+(** {!run_counted} packed into one int, [executed lsl 1 lor accept], for
+    the demultiplexer's walk: it allocates nothing. *)

@@ -59,12 +59,8 @@ let rx t nic pf ~cpu:cpu_id frame =
       (match t.san_protocols with
       | Some (san, res) -> San.read san ~cpu:cpu_id res
       | None -> ());
-      let ethertype =
-        Option.map (fun (h : Pf_net.Frame.header) -> h.ethertype)
-          (Pf_net.Frame.header (Pf_net.Nic.variant nic) frame)
-      in
       let kernel_handler =
-        match ethertype with
+        match Pf_net.Frame.ethertype (Pf_net.Nic.variant nic) frame with
         | Some ty -> List.assoc_opt ty t.protocols
         | None -> None
       in

@@ -140,6 +140,11 @@ and t = {
   cpus : percpu array;
   mutable san : san_handles option; (* concurrency sanitizer, when attached *)
   mutable last_work : work; (* the most recent demux's record *)
+  (* user side, summed over the device's ports *)
+  mutable syscalls : int;
+  mutable writes : int;
+  mutable reads_delivered : int;
+  mutable copy_us : int; (* copy-out CPU time of the delivered reads *)
 }
 
 (* The sanitizer's view of this device: every shared object registered with
@@ -231,6 +236,14 @@ let derive_stats t =
   derive "pf.regvm_insns" ~present:(fun c -> c.total.regvm_applies) (fun c ->
       c.total.regvm_insns);
   derive "pf.demux_cpu_us" ~present:(fun c -> c.packets) (fun c -> price t.costs c.total);
+  let user name ~present value =
+    Stats.derive t.stats name (fun () -> if present () > 0 then Some (value ()) else None)
+  in
+  let reads () = t.reads_delivered in
+  user "pf.syscalls" ~present:(fun () -> t.syscalls) (fun () -> t.syscalls);
+  user "pf.writes" ~present:(fun () -> t.writes) (fun () -> t.writes);
+  user "pf.reads.delivered" ~present:reads reads;
+  user "pf.copy_cpu_us" ~present:reads (fun () -> t.copy_us);
   if Array.length t.cpus > 1 then
     Array.iteri
       (fun k c ->
@@ -267,6 +280,10 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     cpus = Array.init (Smp.ncpus smp) (fun _ -> fresh_percpu ());
     san = None;
     last_work = no_work ();
+    syscalls = 0;
+    writes = 0;
+    reads_delivered = 0;
+    copy_us = 0;
   }
   in
   derive_stats t;
@@ -1001,24 +1018,26 @@ let pp_smp_stats ppf s =
 
 let last_work t = t.last_work
 
-(* One filter application on the port's compiled engine. *)
+(* One filter application on the port's compiled engine. The outcome is
+   packed as [Pf_filter.Fast.run_packed]'s: the stack walk allocates
+   nothing per filter. *)
 let run_filter w port frame =
-  let ok, insns =
+  let packed =
     match port.regvm with
     | Some rvm ->
       let ok, insns = Pf_filter.Regvm.run_counted rvm frame in
       w.regvm_applies <- w.regvm_applies + 1;
       w.regvm_insns <- w.regvm_insns + insns;
-      (ok, insns)
+      (insns lsl 1) lor Bool.to_int ok
     | None ->
-      let ok, insns = Pf_filter.Fast.run_counted (Option.get port.filter) frame in
-      w.stack_insns <- w.stack_insns + insns;
-      (ok, insns)
+      let packed = Pf_filter.Fast.run_packed (Option.get port.filter) frame in
+      w.stack_insns <- w.stack_insns + (packed lsr 1);
+      packed
   in
   w.filters_run <- w.filters_run + 1;
   port.engine_applications <- port.engine_applications + 1;
-  port.engine_insns <- port.engine_insns + insns;
-  ok
+  port.engine_insns <- port.engine_insns + (packed lsr 1);
+  packed land 1 = 1
 
 exception Walk_done
 
@@ -1250,15 +1269,17 @@ let demux t ?(cpu = 0) ?(kernel_claimed = false) frame =
 (* {1 User side} *)
 
 let syscall port =
-  Process.use_cpu port.dev.costs.Costs.syscall;
-  Stats.incr port.dev.stats "pf.syscalls"
+  let t = port.dev in
+  Process.use_cpu t.costs.Costs.syscall;
+  t.syscalls <- t.syscalls + 1
 
 (* Copy one dequeued packet out to the reader. *)
 let copy_out port capture =
-  let copy = Costs.copy_cost port.dev.costs ~bytes:(Packet.length capture.packet) in
+  let t = port.dev in
+  let copy = Costs.copy_cost t.costs ~bytes:(Packet.length capture.packet) in
   Process.use_cpu copy;
-  Stats.incr ~by:copy port.dev.stats "pf.copy_cpu_us";
-  Stats.incr port.dev.stats "pf.reads.delivered";
+  t.copy_us <- t.copy_us + copy;
+  t.reads_delivered <- t.reads_delivered + 1;
   capture
 
 (* User-side dequeue. On a multi-CPU device the port queues are shared with
@@ -1330,7 +1351,7 @@ let write_one port frame =
     (Costs.copy_cost t.costs ~bytes
     + t.costs.Costs.send_path
     + (t.costs.Costs.send_per_kbyte * bytes / 1024));
-  Stats.incr t.stats "pf.writes";
+  t.writes <- t.writes + 1;
   t.send frame
 
 let write port frame =
@@ -1351,10 +1372,16 @@ let select ?timeout ports =
   match ready () with
   | _ :: _ as r -> r
   | [] -> (
+    let waker = ref (fun () -> false) in
     let wait =
       Process.suspend ?timeout (fun deliver ->
+          waker := deliver;
           List.iter (fun p -> p.watchers <- deliver :: p.watchers) ports)
     in
+    (* An enqueue clears its own port's watchers; take this waker off every
+       other port, or a timed-out or elsewhere-woken select leaves it
+       behind for good. *)
+    List.iter (fun p -> p.watchers <- List.filter (fun d -> d != !waker) p.watchers) ports;
     match wait with Some () -> ready () | None -> [])
 
 (* {1 Status} *)
@@ -1418,6 +1445,8 @@ module For_testing = struct
 
   let dispatch t ~cpu = t.cpus.(cpu).dispatch
   let fresh_dispatch t = Pf_filter.Dispatch.build ~indexable (filtered_ports t)
+
+  let watchers port = List.length port.watchers
 
   let cache_key_offsets t =
     match key_state t with Unusable -> None | Offsets offsets -> Some offsets

@@ -452,6 +452,9 @@ module For_testing : sig
   (** CPU [cpu]'s built automaton, as maintained; [None] before its first
       use and after a reorder dropped it. *)
 
+  val watchers : port -> int
+  (** Wakers pending on the port: one per {!select} blocked on it now. *)
+
   val fresh_dispatch : t -> port Pf_filter.Dispatch.t
   (** A {!Pf_filter.Dispatch.build} from scratch of the open filtered ports
       in walk order, copy-all and tap ports excluded from indexing — what

@@ -25,23 +25,21 @@ let encode variant ~dst ~src ~ethertype payload =
   Builder.add_packet b payload;
   Builder.to_packet b
 
+let ethertype variant frame =
+  if Packet.length frame < header_length variant then None
+  else Some (Packet.word frame (match variant with Exp3 -> 1 | Dix10 -> 6))
+
 let header variant frame =
-  let hlen = header_length variant in
-  if Packet.length frame < hlen then None
-  else
-    match variant with
-    | Exp3 ->
-      Some
-        { dst = Addr.Exp (Packet.byte frame 0);
-          src = Addr.Exp (Packet.byte frame 1);
-          ethertype = Packet.word frame 1;
-        }
-    | Dix10 ->
-      Some
-        { dst = Addr.Eth (Packet.to_string (Packet.sub frame ~pos:0 ~len:6));
-          src = Addr.Eth (Packet.to_string (Packet.sub frame ~pos:6 ~len:6));
-          ethertype = Packet.word frame 6;
-        }
+  match (variant, ethertype variant frame) with
+  | _, None -> None
+  | Exp3, Some ethertype ->
+    Some { dst = Addr.Exp (Packet.byte frame 0); src = Addr.Exp (Packet.byte frame 1); ethertype }
+  | Dix10, Some ethertype ->
+    Some
+      { dst = Addr.Eth (Packet.to_string (Packet.sub frame ~pos:0 ~len:6));
+        src = Addr.Eth (Packet.to_string (Packet.sub frame ~pos:6 ~len:6));
+        ethertype;
+      }
 
 let payload variant frame =
   let hlen = header_length variant in

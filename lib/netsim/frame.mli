@@ -31,4 +31,9 @@ val decode : variant -> Pf_pkt.Packet.t -> (header * Pf_pkt.Packet.t) option
 (** Header plus payload; [None] if the frame is shorter than the header. *)
 
 val header : variant -> Pf_pkt.Packet.t -> header option
+
+val ethertype : variant -> Pf_pkt.Packet.t -> int option
+(** The header's type field, read in place: [header]'s [ethertype] without
+    building the addresses. *)
+
 val payload : variant -> Pf_pkt.Packet.t -> Pf_pkt.Packet.t option

@@ -36,27 +36,32 @@ let suspend ?timeout register = Effect.perform (Suspend (register, timeout))
 let spawn engine cpu ~name body =
   incr next_id;
   let proc = { id = !next_id; name; engine; cpu; state = `Runnable; exit_hooks = [] } in
-  let as_current f =
+  let me = Some proc and owner = `Proc proc.id in
+  (* Run [f x y] as this process: [current] names it for the duration and
+     is restored however [f] exits, so an escaping exception leaves no
+     process running. A wakeup is then one scheduled closure. *)
+  let as_current f x y =
     let saved = !current in
-    current := Some proc;
-    Fun.protect ~finally:(fun () -> current := saved) f
+    current := me;
+    match f x y with
+    | () -> current := saved
+    | exception e ->
+      current := saved;
+      raise e
   in
+  let resume k v = as_current Effect.Deep.continue k v in
   let effc : type b. b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option =
     function
     | Use_cpu cost ->
       Some
         (fun k ->
-          let finish =
-            Cpu.run cpu ~owner:(`Proc proc.id) ~start:(Engine.now engine) ~cost
-          in
-          Engine.schedule engine ~at:finish (fun () ->
-              as_current (fun () -> Effect.Deep.continue k ())))
+          let finish = Cpu.run cpu ~owner ~start:(Engine.now engine) ~cost in
+          Engine.schedule engine ~at:finish (fun () -> resume k ()))
     | Pause d ->
       Some
         (fun k ->
           Cpu.mark_descheduled cpu;
-          Engine.schedule_after engine d (fun () ->
-              as_current (fun () -> Effect.Deep.continue k ())))
+          Engine.schedule_after engine d (fun () -> resume k ()))
     | Suspend (register, timeout) ->
       Some
         (fun k ->
@@ -68,8 +73,7 @@ let spawn engine cpu ~name body =
             else begin
               decided := true;
               proc.state <- `Runnable;
-              Engine.schedule engine ~at:(Engine.now engine) (fun () ->
-                  as_current (fun () -> Effect.Deep.continue k (Some v)));
+              Engine.schedule engine ~at:(Engine.now engine) (fun () -> resume k (Some v));
               true
             end
           in
@@ -80,7 +84,7 @@ let spawn engine cpu ~name body =
                 if not !decided then begin
                   decided := true;
                   proc.state <- `Runnable;
-                  as_current (fun () -> Effect.Deep.continue k None)
+                  resume k None
                 end));
           register deliver)
     | _ -> None
@@ -101,7 +105,7 @@ let spawn engine cpu ~name body =
     }
   in
   Engine.schedule engine ~at:(Engine.now engine) (fun () ->
-      as_current (fun () -> Effect.Deep.match_with body () handler));
+      as_current (Effect.Deep.match_with body) () handler);
   proc
 
 let join target =

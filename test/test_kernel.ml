@@ -244,6 +244,36 @@ let test_select_timeout () =
   Engine.run eng;
   Alcotest.(check int) "empty on timeout" 0 (List.length !out)
 
+(* A select takes its waker off every port when it returns: neither a
+   timed-out select nor one woken by another port leaves a dead waker. *)
+let test_select_leaves_no_waker () =
+  let eng, _, alice, bob = mk_world () in
+  let pf = Host.pf bob in
+  let idle = Pfdev.open_port pf in
+  let busy = Pfdev.open_port pf in
+  set_filter_exn idle (socket_filter 35);
+  set_filter_exn busy (socket_filter 99);
+  let timeouts = ref 0 in
+  ignore
+    (Host.spawn bob ~name:"selector" (fun () ->
+         for _ = 1 to 1_000 do
+           if Pfdev.select ~timeout:10 [ idle ] = [] then incr timeouts
+         done));
+  Engine.run eng;
+  Alcotest.(check int) "every select timed out" 1_000 !timeouts;
+  Alcotest.(check int) "no waker after timeouts" 0 (Pfdev.For_testing.watchers idle);
+  let ready = ref [] in
+  ignore
+    (Host.spawn bob ~name:"selector" (fun () -> ready := Pfdev.select [ idle; busy ]));
+  let port_a = Pfdev.open_port (Host.pf alice) in
+  ignore
+    (Host.spawn alice ~name:"writer" (fun () ->
+         Pfdev.write port_a (Testutil.pup_frame ~dst_byte:2 ~dst_socket:99l ())));
+  Engine.run eng;
+  Alcotest.(check int) "woken by the busy port" 1 (List.length !ready);
+  Alcotest.(check int) "no waker left on the idle port" 0 (Pfdev.For_testing.watchers idle);
+  Alcotest.(check int) "none on the busy port" 0 (Pfdev.For_testing.watchers busy)
+
 let test_signal_callback () =
   let eng, _, alice, bob = mk_world () in
   let port = Pfdev.open_port (Host.pf bob) in
@@ -702,6 +732,7 @@ let suite =
       Alcotest.test_case "batch read" `Quick test_batch_read;
       Alcotest.test_case "select" `Quick test_select;
       Alcotest.test_case "select timeout" `Quick test_select_timeout;
+      Alcotest.test_case "select leaves no waker" `Quick test_select_leaves_no_waker;
       Alcotest.test_case "signal callback" `Quick test_signal_callback;
       Alcotest.test_case "no filter, no delivery" `Quick test_no_filter_no_delivery;
       Alcotest.test_case "status ioctl" `Quick test_status;

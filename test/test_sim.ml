@@ -42,6 +42,112 @@ let test_engine_until () =
   Engine.run eng;
   Alcotest.(check int) "rest run later" 10 !count
 
+(* The heap against a model: a map ordered by (time, scheduling order).
+   An op schedules one event (at an offset from now, possibly in the past)
+   whose run schedules children the same way, schedules a burst of
+   childless events, or runs up to a limit at or after now. *)
+type engine_op =
+  | Schedule of int * int list
+  | Burst of int * int (* count, offset seed *)
+  | Run_until of int
+
+module Model_queue = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type model = {
+  mutable queue : (int * int list) Model_queue.t; (* (time, seq) -> (id, children) *)
+  mutable clock : int;
+  mutable seq : int;
+  mutable processed : int;
+  mutable fired : (int * int) list; (* (id, time), latest first *)
+}
+
+(* Ids count scheduling calls, in the engine and in the model alike. *)
+let model_schedule m ~offset children =
+  let time = max m.clock (m.clock + offset) in
+  m.queue <- Model_queue.add (time, m.seq) (m.seq, children) m.queue;
+  m.seq <- m.seq + 1
+
+(* The model's run: fire (time, seq)-least events while they are due,
+   then advance the clock to the limit, if there is one. *)
+let rec model_run ?limit m =
+  match Model_queue.min_binding_opt m.queue with
+  | Some (((time, _) as key), (id, children))
+    when Option.fold limit ~none:true ~some:(fun l -> time <= l) ->
+    m.queue <- Model_queue.remove key m.queue;
+    m.clock <- time;
+    m.processed <- m.processed + 1;
+    m.fired <- (id, time) :: m.fired;
+    List.iter (fun offset -> model_schedule m ~offset []) children;
+    model_run ?limit m
+  | Some _ | None -> Option.iter (fun l -> m.clock <- max m.clock l) limit
+
+let burst_offsets count seed = List.init count (fun i -> (((i * 7919) + seed) mod 1000) - 100)
+
+let gen_engine_ops =
+  let open QCheck.Gen in
+  let offset = int_range (-20) 40 in
+  let op =
+    frequency
+      [ (6, map2 (fun o cs -> Schedule (o, cs)) offset (list_size (int_bound 3) offset));
+        (1, map2 (fun n s -> Burst (n, s)) (int_bound 200) (int_bound 1000));
+        (3, map (fun d -> Run_until d) (int_bound 60)) ]
+  in
+  (* Every case also crosses 10,000 pending events. *)
+  map3
+    (fun before big after -> before @ [ Burst (big, 3) ] @ after)
+    (list_size (int_bound 30) op) (int_range 10_001 12_000) (list_size (int_bound 30) op)
+
+let pp_engine_op = function
+  | Schedule (o, cs) ->
+    Printf.sprintf "schedule %d [%s]" o (String.concat ";" (List.map string_of_int cs))
+  | Burst (n, s) -> Printf.sprintf "burst %d seed %d" n s
+  | Run_until d -> Printf.sprintf "run until now+%d" d
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine = (time, scheduling order) model" ~count:100
+    (QCheck.make ~print:(fun ops -> String.concat ", " (List.map pp_engine_op ops)) gen_engine_ops)
+    (fun ops ->
+      let eng = Engine.create () in
+      let m = { queue = Model_queue.empty; clock = 0; seq = 0; processed = 0; fired = [] } in
+      let fired = ref [] and next_id = ref 0 and peak = ref 0 in
+      let rec schedule offset children =
+        let id = !next_id in
+        incr next_id;
+        Engine.schedule eng ~at:(Engine.now eng + offset) (fun () ->
+            fired := (id, Engine.now eng) :: !fired;
+            List.iter (fun o -> schedule o []) children)
+      in
+      let both offset children =
+        schedule offset children;
+        model_schedule m ~offset children
+      in
+      let agree () =
+        peak := max !peak (Engine.pending eng);
+        Engine.now eng = m.clock
+        && Engine.pending eng = Model_queue.cardinal m.queue
+        && Engine.events_processed eng = m.processed
+        && !fired = m.fired
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Schedule (o, cs) -> both o cs
+          | Burst (n, s) -> List.iter (fun o -> both o []) (burst_offsets n s)
+          | Run_until d ->
+            let limit = Engine.now eng + d in
+            Engine.run ~until:limit eng;
+            model_run ~limit m);
+          agree ())
+        ops
+      && (Engine.run eng;
+          model_run m;
+          agree ())
+      && !peak > 10_000)
+
 (* {1 CPU} *)
 
 let test_cpu_serializes () =
@@ -176,6 +282,39 @@ let test_stale_waiter_skipped () =
   Alcotest.(check (option int)) "w1 timed out" None !first;
   Alcotest.(check (option int)) "w2 got the value" (Some 7) !second
 
+(* An exception raised in a process body after a wakeup escapes
+   [Engine.run], leaves no process running, and leaves the CPU charging the
+   next process exactly as after a normal exit. *)
+let test_process_exception_escapes () =
+  let after_first ~raises first =
+    let eng = Engine.create () in
+    let cpu = Cpu.create Costs.microvax_ii in
+    let p = Process.spawn eng cpu ~name:"first" first in
+    let escaped = match Engine.run eng with () -> false | exception Failure _ -> true in
+    Alcotest.(check bool) "escapes Engine.run" raises escaped;
+    Alcotest.(check bool) "first is dead" true (Process.state p = `Dead);
+    Alcotest.(check bool) "no process running" false (Process.running ());
+    let finish = ref (-1) in
+    let q =
+      Process.spawn eng cpu ~name:"second" (fun () ->
+          Alcotest.(check bool) "second is current" true (Process.running ());
+          Process.use_cpu 50;
+          finish := Engine.now eng)
+    in
+    Engine.run eng;
+    Alcotest.(check bool) "second is dead" true (Process.state q = `Dead);
+    (!finish, Cpu.busy_time cpu, Cpu.context_switches cpu)
+  in
+  let failing =
+    after_first ~raises:true (fun () ->
+        Process.use_cpu 100;
+        failwith "boom")
+  in
+  let normal = after_first ~raises:false (fun () -> Process.use_cpu 100) in
+  Alcotest.(check (triple int int int)) "charged as after a normal exit" normal failing;
+  Alcotest.check_raises "self outside any process" (Failure "Process.self: not inside a process")
+    (fun () -> ignore (Process.self () : Process.t))
+
 (* {1 Stats & Rng} *)
 
 let test_stats () =
@@ -213,6 +352,7 @@ let suite =
       Alcotest.test_case "engine same-time fifo" `Quick test_engine_same_time_fifo;
       Alcotest.test_case "engine schedule in past" `Quick test_engine_schedule_past;
       Alcotest.test_case "engine run until" `Quick test_engine_until;
+      QCheck_alcotest.to_alcotest prop_engine_matches_model;
       Alcotest.test_case "cpu serializes" `Quick test_cpu_serializes;
       Alcotest.test_case "cpu context switch" `Quick test_cpu_context_switch;
       Alcotest.test_case "process cpu+pause" `Quick test_process_cpu_and_pause;
@@ -222,6 +362,7 @@ let suite =
       Alcotest.test_case "broadcast" `Quick test_broadcast;
       Alcotest.test_case "join" `Quick test_join;
       Alcotest.test_case "stale waiter skipped" `Quick test_stale_waiter_skipped;
+      Alcotest.test_case "process exception escapes run" `Quick test_process_exception_escapes;
       Alcotest.test_case "stats" `Quick test_stats;
       Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
       Alcotest.test_case "rng exponential" `Quick test_rng_exponential_positive;
