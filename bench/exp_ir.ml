@@ -16,11 +16,17 @@
    the lower -> optimize -> raise round trip `pftool ir` and `verify`
    ship) and the register VM's worst-case microseconds must not exceed
    the original's. Either regression fails the run — that is the CI
-   criterion this experiment exists for. *)
+   criterion this experiment exists for.
+
+   A third table prices install-time certification in host wall clock:
+   over 2,000 and 10,000 Traffic.Gen filters, Regvm.compile plus
+   certification through one shape memo (as a device holds it) must take
+   at most 1.2x Regvm.compile alone. *)
 
 open Util
 module Pfdev = Pf_kernel.Pfdev
 module Filter = Pf_filter
+module Gen = Pf_monitor.Traffic.Gen
 
 let n_ports = 16
 let n_packets = 2_000
@@ -132,6 +138,88 @@ let corpus_gate () =
     (List.rev rows);
   failures
 
+(* {1 Certification overhead}
+
+   Each filter is compiled plainly and then compiled and certified, the
+   two timed back to back, so the garbage collector and the machine weigh
+   on both alike; the gate compares the medians. The memo starts empty, so
+   the proofs of the first filter of each shape are among the samples. *)
+
+let certify_limit = 1.2
+
+type certify_cost = {
+  plain_us : float;
+  certified_us : float;
+  shapes : int; (* shape-table entries: one proof attempt each *)
+  shape_hits : int;
+  not_certified : int;
+}
+
+let certify_cost ~n =
+  let gen = Gen.make ~seed:!run_seed ~flows:n ~skew:Gen.Uniform () in
+  let validated =
+    Array.init n (fun i ->
+        match Filter.Validate.check (Gen.filter (Gen.flow gen i)) with
+        | Ok v -> v
+        | Error e -> failwith (Format.asprintf "%a" Filter.Validate.pp_error e))
+  in
+  let memo = Filter.Equiv.Memo.create () in
+  let not_certified = ref 0 in
+  Gc.full_major ();
+  let samples =
+    Array.map
+      (fun v ->
+        let t0 = Monotonic_clock.now () in
+        ignore (Filter.Regvm.compile v : Filter.Regvm.t);
+        let t1 = Monotonic_clock.now () in
+        let _, c = Filter.Regvm.compile_certified ~memo v in
+        let t2 = Monotonic_clock.now () in
+        if c <> Filter.Equiv.Certified then incr not_certified;
+        (Int64.sub t1 t0, Int64.sub t2 t1))
+      validated
+  in
+  let median f =
+    let a = Array.map f samples in
+    Array.sort Int64.compare a;
+    Int64.to_float a.(n / 2) /. 1e3
+  in
+  { plain_us = median fst;
+    certified_us = median snd;
+    shapes = Filter.Equiv.Memo.size memo;
+    shape_hits = Filter.Equiv.Memo.shape_hits memo;
+    not_certified = !not_certified }
+
+let certify_gate () =
+  let costs = List.map (fun n -> (n, certify_cost ~n)) [ 2_000; 10_000 ] in
+  print_table
+    ~title:"Install-time certification: Regvm.compile vs compile + certify (host us, median)"
+    ~note:
+      "note: 'paper' column = Regvm.compile alone; 'ours' = compile plus
+       certification through one shape memo. The gate fails above 1.2x."
+    (List.map
+       (fun (n, c) ->
+         { metric = Printf.sprintf "%d Gen filters (%d shapes, %d memo hits)" n
+             c.shapes c.shape_hits;
+           paper = Printf.sprintf "%.2f us" c.plain_us;
+           ours =
+             Printf.sprintf "%.2f us (%.2fx)" c.certified_us
+               (c.certified_us /. c.plain_us) })
+       costs);
+  List.concat_map
+    (fun (n, c) ->
+      let ratio = c.certified_us /. c.plain_us in
+      record_metric (Printf.sprintf "ir_certify_ratio_%d" n) ratio;
+      record_metric (Printf.sprintf "ir_certify_shapes_%d" n) (float_of_int c.shapes);
+      (if ratio > certify_limit then
+         [ Printf.sprintf "certified compile %.2fx plain at %d filters (%.2f vs %.2f us); need <= %.1fx"
+             ratio n c.certified_us c.plain_us certify_limit ]
+       else [])
+      @
+      if c.not_certified > 0 then
+        [ Printf.sprintf "%d of %d Gen filters not certified" c.not_certified n ]
+      else [])
+    costs
+
 let run () =
   let off = run_mix `Off in
   let regvm = run_mix `Regvm in
@@ -162,12 +250,16 @@ let run () =
   let corpus_failures = corpus_gate () in
   record_metric "ir_corpus_filters" (float_of_int (List.length corpus));
   record_metric "ir_corpus_regressions" (float_of_int (List.length corpus_failures));
+  let certify_failures = certify_gate () in
   (* The CI regression gate: optimized must never cost more than
      unoptimized — on the mix or anywhere in the corpus. *)
   if regvm.demux_us_per_packet > off.demux_us_per_packet then
     failwith
       (Printf.sprintf "ir regression: regvm demux %.1f uSec/packet > stack %.1f"
          regvm.demux_us_per_packet off.demux_us_per_packet);
-  match corpus_failures with
+  (match corpus_failures with
   | [] -> ()
-  | fs -> failwith ("ir corpus regression: " ^ String.concat "; " fs)
+  | fs -> failwith ("ir corpus regression: " ^ String.concat "; " fs));
+  match certify_failures with
+  | [] -> ()
+  | fs -> failwith ("ir certification overhead: " ^ String.concat "; " fs)

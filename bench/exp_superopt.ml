@@ -3,7 +3,8 @@
    filter, with and without the install-time search.
 
    Every builtin is installed twice on fresh single-port devices — compile
-   strategy [`Regvm] (the certified pipeline alone) and [`Regvm_super]
+   strategy [`Regvm] (the certified pipeline alone: every install runs
+   [Regopt.certify]) and [`Regvm_super]
    (pipeline + proof-gated MCMC search) — and both demultiplex the same
    deterministic packet mix (fixed-seed fuzz packets: overwhelmingly
    rejects, as on a real wire where most traffic is for someone else).

@@ -163,14 +163,20 @@ module Memo = struct
   type t = {
     relations : (int list * int list * int * int, Analysis.relation) Hashtbl.t;
     checks : (int list * int list * int * int, report) Hashtbl.t;
+    shapes : (string, bool) Hashtbl.t; (* see [shape_key] *)
     mutable check_hits : int;
+    mutable shape_hits : int;
   }
 
   let create () =
-    { relations = Hashtbl.create 16; checks = Hashtbl.create 64; check_hits = 0 }
+    { relations = Hashtbl.create 16; checks = Hashtbl.create 64;
+      shapes = Hashtbl.create 16; check_hits = 0; shape_hits = 0 }
 
-  let size t = Hashtbl.length t.relations + Hashtbl.length t.checks
+  let size t =
+    Hashtbl.length t.relations + Hashtbl.length t.checks + Hashtbl.length t.shapes
+
   let check_hits t = t.check_hits
+  let shape_hits t = t.shape_hits
 end
 
 let encode_side = function
@@ -251,3 +257,144 @@ let pp_certification ppf = function
   | Certified -> Format.pp_print_string ppf "certified"
   | Refuted p -> Format.fprintf ppf "refuted by %a" Packet.pp_hex p
   | Uncertified why -> Format.fprintf ppf "uncertified (%s)" why
+
+(* {1 Certifying a compile once per filter shape}
+
+   The shape of a program is its instruction sequence with every literal
+   replaced by a parameter: distinct literal values, numbered in order of
+   first occurrence, so equal literals share one. The template of a
+   compile is its IR with every immediate equal to a literal replaced by
+   that literal's parameter. Instantiated at the program's own literals,
+   shape and template give back exactly the program and its IR, so a proof
+   that they agree on every packet for every parameter assignment
+   certifies this compile, and every other compile whose program has that
+   shape and whose IR has that template. A compile that depends on a
+   literal's value (a fold, a mask rewrite, an immediate that only
+   coincides with a literal) gets a different template or one that is not
+   equal for all values; either way the per-program check decides. *)
+
+(* Distinct literal values in order of first occurrence, numbered from 0.
+   These run on every install, so lookups compare ints and allocate
+   nothing: [param_index] is -1 for a value that is no literal. *)
+let rec param_index (x : int) = function
+  | [] -> -1
+  | (y, k) :: rest -> if x = y then k else param_index x rest
+
+let params_of v =
+  Array.fold_left
+    (fun params (insn : Insn.t) ->
+      match insn.Insn.action with
+      | Action.Pushlit x when param_index x params < 0 ->
+          (x, List.length params) :: params
+      | _ -> params)
+    [] (Validate.program v).Program.insns
+
+let template params ir =
+  Ir.map_operands
+    (fun (o : Ir.operand) ->
+      match o with
+      | Ir.Imm x ->
+          let k = param_index x params in
+          if k < 0 then o else Ir.Imm (Symex.param_base + k)
+      | Ir.Reg _ -> o)
+    ir
+
+(* The memo key: the shape and the template, written straight into one
+   string of 16-bit words (an install pays for this on every memo hit, so
+   the template is never built here). Instruction words carry their action
+   and operator codes, as on the wire; the IR's words are tagged by kind.
+   Every field's extent follows from the words before it, so the key
+   parses back uniquely. Budgets stay out of it: a stored [true] is a
+   proof under any budget, and a stored [false] only sends the install to
+   the per-program check. *)
+let put buf pos x =
+  Bytes.set_uint16_le buf pos x;
+  pos + 2
+
+let put_operand params buf pos (o : Ir.operand) =
+  match o with
+  | Ir.Reg r -> put buf (put buf pos 0) r
+  | Ir.Imm x ->
+      let k = param_index x params in
+      if k < 0 then put buf (put buf pos 1) x else put buf (put buf pos 2) k
+
+let put_instr params buf pos (i : Ir.instr) =
+  match i with
+  | Ir.Load { dst; word } -> put buf (put buf (put buf pos 3) dst) word
+  | Ir.Loadind { dst; idx } -> put_operand params buf (put buf (put buf pos 4) dst) idx
+  | Ir.Binop { dst; op; a; b } ->
+      let pos = put buf (put buf (put buf pos 5) dst) (Op.code op) in
+      put_operand params buf (put_operand params buf pos a) b
+  | Ir.Tcond { cond; a; b; verdict } ->
+      let tag = 6 + (if cond = Ir.Ceq then 0 else 2) + Bool.to_int verdict in
+      put_operand params buf (put_operand params buf (put buf pos tag) a) b
+
+let shape_key params v (ir : Ir.t) =
+  let insns = (Validate.program v).Program.insns in
+  (* 3 counts, at most 2 words per instruction, 7 per IR instruction and
+     3 for the terminator *)
+  let buf =
+    Bytes.create (2 * (6 + (2 * Array.length insns) + (7 * Array.length ir.Ir.instrs)))
+  in
+  let pos = put buf 0 (Array.length insns) in
+  let pos =
+    Array.fold_left
+      (fun pos (insn : Insn.t) ->
+        let pos =
+          put buf pos (Action.code insn.Insn.action lor (Op.code insn.Insn.op lsl 10))
+        in
+        match insn.Insn.action with
+        | Action.Pushlit x -> put buf pos (param_index x params)
+        | _ -> pos)
+      pos insns
+  in
+  let pos = put buf pos ir.Ir.reg_count in
+  let pos = put buf pos (Array.length ir.Ir.instrs) in
+  let pos = Array.fold_left (put_instr params buf) pos ir.Ir.instrs in
+  let pos =
+    match ir.Ir.terminator with
+    | Ir.Halt v -> put buf pos (Bool.to_int v)
+    | Ir.Accept_if o -> put_operand params buf (put buf pos 2) o
+  in
+  Bytes.sub_string buf 0 pos
+
+(* Only proofs count here: a solved pair over parameters is no packet. *)
+let proves_template ~budget ~pair_budget v params tmpl =
+  let ctx = Symex.Ctx.create () in
+  let lit x = Symex.param_base + param_index x params in
+  let oa = Symex.run ~budget ~lit ctx v and ob = Symex.run_ir ~budget ctx tmpl in
+  structurally_equal oa ob
+  || oa.Symex.complete && ob.Symex.complete
+     &&
+     try
+       iter_pairs ~pair_budget ~select:(fun a b -> a <> b) ~count:(ref 0) oa ob
+         (fun pa pb ->
+           match Symex.conj pa.Symex.cond pb.Symex.cond with
+           | None -> ()
+           | Some c -> if not (Symex.unsat c) then raise Exit);
+       true
+     with Exit | Pairs_exhausted -> false
+
+let shape_proves ?(budget = default_budget) ?(pair_budget = default_pair_budget) v
+    ir =
+  let params = params_of v in
+  proves_template ~budget ~pair_budget v params (template params ir)
+
+let certify_ir ?(budget = default_budget) ?(pair_budget = default_pair_budget)
+    (memo : Memo.t) v ir =
+  let params = params_of v in
+  let key = shape_key params v ir in
+  let proved =
+    match Hashtbl.find_opt memo.Memo.shapes key with
+    | Some proved ->
+        memo.Memo.shape_hits <- memo.Memo.shape_hits + 1;
+        proved
+    | None ->
+        let proved =
+          proves_template ~budget ~pair_budget v params (template params ir)
+        in
+        Hashtbl.add memo.Memo.shapes key proved;
+        proved
+  in
+  if proved then Certified
+  else certification_of_report (check_ir ~budget ~pair_budget v ir)

@@ -83,11 +83,14 @@ module Memo : sig
   val create : unit -> t
 
   val size : t -> int
-  (** Number of cached verdicts, relations plus check reports (cheap
-      {!Analysis.relate} hits are not stored). *)
+  (** Number of cached verdicts: relations, check reports and shape
+      verdicts (cheap {!Analysis.relate} hits are not stored). *)
 
   val check_hits : t -> int
   (** Times {!check_memo} answered from the table instead of re-proving. *)
+
+  val shape_hits : t -> int
+  (** Times {!certify_ir} found its shape verdict in the table. *)
 end
 
 val relate_memo :
@@ -102,7 +105,7 @@ val check_memo : ?budget:int -> ?pair_budget:int -> Memo.t -> side -> side -> re
     counts, reasons) is cached by hash-consed candidate identity. *)
 
 (** Outcome of certifying one optimizer rewrite, shared by
-    {!Peephole.optimize_certified} and {!Regopt.optimize_certified}. *)
+    {!Peephole.optimize_certified} and {!Regopt.certify}. *)
 type certification =
   | Certified  (** the rewrite is proved meaning-preserving *)
   | Refuted of Pf_pkt.Packet.t
@@ -112,6 +115,30 @@ type certification =
           budget exhausted"]) *)
 
 val certification_of_report : report -> certification
+
+val certify_ir :
+  ?budget:int -> ?pair_budget:int -> Memo.t -> Validate.t -> Ir.t ->
+  certification
+(** Certify a compile of a program into IR, proving once per filter
+    {e shape}. The shape is the program with each literal made a
+    parameter (equal literals share one); the template is the IR with each
+    immediate that equals a literal made that literal's parameter. Both
+    instantiate back to the program and the IR, so a proof that they are
+    equal for {e every} parameter value ({!Symex.param_base}; only
+    structural equality or refuted differing pairs count) certifies the
+    compile. The memo keys that verdict on (shape, template): ports whose
+    filters differ only in a literal share one proof, and a compile with a
+    different template can never reuse it. Anything short
+    of a proof — a compile that depends on a literal's value, a budget
+    hit — falls back to {!check_ir} on this program, which alone can
+    refute with a witness. *)
+
+val shape_proves :
+  ?budget:int -> ?pair_budget:int -> Validate.t -> Ir.t -> bool
+(** The shape verdict {!certify_ir} memoizes, computed afresh: [true] only
+    when the shape and the template are proved equal for every parameter
+    value. Then {!check_ir} must prove the compile too (the fuzz oracle
+    checks it). *)
 
 val run_side : side -> Pf_pkt.Packet.t -> bool
 (** Concrete execution used for confirmation: {!Interp.run} with [`Paper]

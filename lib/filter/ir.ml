@@ -153,6 +153,18 @@ let exec t packet =
     | Accept_if o -> value o <> 0)
   with Done v -> v
 
+let map_operands f t =
+  let instr = function
+    | Load _ as i -> i
+    | Loadind { dst; idx } -> Loadind { dst; idx = f idx }
+    | Binop { dst; op; a; b } -> Binop { dst; op; a = f a; b = f b }
+    | Tcond { cond; a; b; verdict } -> Tcond { cond; a = f a; b = f b; verdict }
+  in
+  let terminator =
+    match t.terminator with Accept_if o -> Accept_if (f o) | Halt _ as h -> h
+  in
+  { t with instrs = Array.map instr t.instrs; terminator }
+
 let load_count t =
   Array.fold_left
     (fun acc i ->

@@ -81,6 +81,10 @@ val exec : t -> Pf_pkt.Packet.t -> bool
     shared by {!Equiv} (witness confirmation) and {!Superopt} (candidate
     screening). *)
 
+val map_operands : (operand -> operand) -> t -> t
+(** Rewrite every operand (registers and immediates alike); destinations
+    and load offsets are kept. *)
+
 val load_count : t -> int
 (** Number of packet-load instructions ([Load] + [Loadind]) — what common
     subexpression elimination minimizes. *)

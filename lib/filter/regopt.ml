@@ -316,6 +316,21 @@ let compact (ir : Ir.t) =
 
 (* {1 The pipeline} *)
 
+module For_testing = struct
+  let miscompile_literal = ref None
+end
+
+(* The seeded miscompilation: every immediate equal to the chosen value
+   comes out one higher. *)
+let miscompile ir =
+  match !For_testing.miscompile_literal with
+  | None -> ir
+  | Some bad ->
+    Ir.map_operands
+      (fun (o : Ir.operand) ->
+        match o with Ir.Imm v when v = bad -> Ir.Imm ((v + 1) land 0xffff) | o -> o)
+      ir
+
 let max_iterations = 4
 
 let optimize validated =
@@ -337,7 +352,7 @@ let optimize validated =
     note "dve" c3;
     if c1 + c2 + c3 = 0 || iter >= max_iterations then ir else loop ir (iter + 1)
   in
-  let ir = compact (loop ir 1) in
+  let ir = miscompile (compact (loop ir 1)) in
   let report =
     {
       insns_before = Program.insn_count program;
@@ -531,18 +546,19 @@ let raise_program validated =
       then fallback
       else (candidate, report))
 
-let optimize_certified_base ?budget validated =
-  let ir, report = optimize validated in
-  match Equiv.certification_of_report (Equiv.check_ir ?budget validated ir) with
-  | Equiv.Certified -> ((ir, report), Equiv.Certified)
-  | Equiv.Refuted w ->
+let certify ?budget ?(memo = Equiv.Memo.create ()) validated (ir, report) =
+  let certification = Equiv.certify_ir ?budget memo validated ir in
+  match certification with
+  | Equiv.Refuted _ ->
     (* Never ship a refuted optimization: fall back to plain lowering,
        whose shape Regvm executes just as well. *)
-    ((Ir.lower validated, { report with fell_back = true }), Equiv.Refuted w)
-  | Equiv.Uncertified _ as u -> ((ir, report), u)
+    ((Ir.lower validated, { report with fell_back = true }), certification)
+  | Equiv.Certified | Equiv.Uncertified _ -> ((ir, report), certification)
 
 let optimize_superopt ?equiv_budget ?budget ?seed ?memo validated =
-  let (ir, report), certification = optimize_certified_base ?budget:equiv_budget validated in
+  let (ir, report), certification =
+    certify ?budget:equiv_budget ?memo validated (optimize validated)
+  in
   (* The search runs on whatever the certified pipeline shipped — on a
      refuted pipeline that is the plain lowering, which certifies
      trivially, so the chain's incumbent is always a verified program. *)
@@ -558,13 +574,3 @@ let optimize_superopt ?equiv_budget ?budget ?seed ?memo validated =
     }
   in
   ((best, report), certification, outcome)
-
-let optimize_certified ?budget ?superopt ?seed ?memo validated =
-  match superopt with
-  | None -> optimize_certified_base ?budget validated
-  | Some search_budget ->
-    let irrep, certification, _ =
-      optimize_superopt ?equiv_budget:budget ~budget:search_budget ?seed ?memo
-        validated
-    in
-    (irrep, certification)

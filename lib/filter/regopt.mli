@@ -69,26 +69,33 @@ val raise_program : Validate.t -> Program.t * report
     code words than the source, never a larger {!Analysis.t.cost_bound},
     and keeps the [`Paper] verdict on every packet. *)
 
-val optimize_certified :
-  ?budget:int -> ?superopt:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
-  Validate.t -> (Ir.t * report) * Equiv.certification
-(** [optimize] under translation validation: the optimized IR is checked
-    against the source program with {!Equiv.check_ir}. On {!Equiv.Refuted}
-    the unoptimized lowering ({!Ir.lower}, with [fell_back] set) is
-    returned alongside the witness packet; [Uncertified] keeps the
-    optimized IR and says why the check fell short (e.g. path budget).
-
-    [~superopt:n] additionally runs the stochastic superoptimizer
-    ({!Superopt.search}, [n] proposals, optionally [?seed]/[?memo]) on the
-    certified result; the search only moves through candidates proved
-    equal to its incumbent, so the certification outcome is unchanged. A
-    ["superopt"] entry (static cycles saved) is appended to the report's
-    passes. *)
+val certify :
+  ?budget:int -> ?memo:Equiv.Memo.t -> Validate.t -> Ir.t * report ->
+  (Ir.t * report) * Equiv.certification
+(** Translation-validate an {!optimize} result against its source with
+    {!Equiv.certify_ir}, through [memo]'s shape table (default: a fresh
+    one). This is the one refuted-compile policy, for both
+    register-VM install strategies: on {!Equiv.Refuted} the plain lowering
+    ({!Ir.lower}, with [fell_back] set) replaces the optimized IR and the
+    witness packet is returned; [Uncertified] keeps the optimized IR and
+    says why the check fell short (e.g. path budget). *)
 
 val optimize_superopt :
   ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
   Validate.t -> (Ir.t * report) * Equiv.certification * Superopt.outcome
-(** [optimize_certified ~superopt] with the full search {!Superopt.outcome}
-    (stats, refuted candidates) exposed — what [pftool superopt] and the
+(** {!certify} the pipeline, then run the stochastic superoptimizer
+    ({!Superopt.search}, [budget] proposals, [seed], sharing [memo]) on
+    what it shipped. The search only moves through candidates proved equal
+    to its incumbent, so the certification stands for the result. A
+    ["superopt"] entry (static cycles saved) is appended to the report's
+    passes, and the full search {!Superopt.outcome} (stats, refuted
+    candidates) is returned — what [pftool superopt] and the
     [`Regvm_super] install path report from. [equiv_budget] bounds the
-    pipeline certification; [budget] is the search's proposal count. *)
+    pipeline certification. *)
+
+module For_testing : sig
+  val miscompile_literal : int option ref
+  (** When [Some v], {!optimize} rewrites every immediate equal to [v] to
+      [v + 1]: a miscompilation wrong for exactly one literal value, which
+      certification must refute. Never set it outside tests. *)
+end

@@ -9,17 +9,22 @@ type t = {
          sequentially on the (simulated) kernel path, never concurrently. *)
 }
 
-let compile validated =
-  let ir, report = Regopt.optimize validated in
+let make validated (ir, report) =
   { validated; ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 }
 
+let compile validated = make validated (Regopt.optimize validated)
+
+let compile_certified ~memo validated =
+  let compiled, certification =
+    Regopt.certify ~memo validated (Regopt.optimize validated)
+  in
+  (make validated compiled, certification)
+
 let compile_super ?equiv_budget ?budget ?seed ?memo validated =
-  let (ir, report), certification, outcome =
+  let compiled, certification, outcome =
     Regopt.optimize_superopt ?equiv_budget ?budget ?seed ?memo validated
   in
-  ( { validated; ir; report; regs = Array.make (max 1 ir.Ir.reg_count) 0 },
-    certification,
-    outcome )
+  (make validated compiled, certification, outcome)
 
 let validated t = t.validated
 let ir t = t.ir

@@ -21,6 +21,12 @@ val compile : Validate.t -> t
     {!Fast.t}, the scratch state makes a compiled filter safe for
     sequential reuse but not for concurrent runs. *)
 
+val compile_certified : memo:Equiv.Memo.t -> Validate.t -> t * Equiv.certification
+(** {!compile} under translation validation, proved once per filter shape
+    through [memo] ({!Regopt.certify}): a refuted compile runs the plain
+    lowering instead, and the witness comes back with it. What a
+    [`Regvm] install runs. *)
+
 val compile_super :
   ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->
   Validate.t -> t * Equiv.certification * Superopt.outcome

@@ -35,6 +35,11 @@ let const ctx v =
 
 let word ctx i = Ctx.intern ctx (Kword i) (Nword i)
 
+(* Parameters are words past any packet: a load's index is a 16-bit value,
+   so no packet word reaches [param_base], and only loads fork on length. *)
+let param_base = 0x10000
+let imm ctx v = if v >= param_base then word ctx v else const ctx v
+
 let ind ctx e =
   match e.node with
   | Nconst c -> word ctx c
@@ -376,7 +381,9 @@ let candidates w ~limit =
   in
   go 0 [] 0
 
-let solve c =
+(* The per-class value search behind [solve]: [`Model] carries the chosen
+   value of each class root and the mentioned word indices. *)
+let assign c =
   if c.len_lo > c.len_hi then `Unsat
   else
     (* the word indices the condition talks about *)
@@ -416,6 +423,15 @@ let solve c =
               if exhausted && forbidden = [] then raise Unsat_class
               else raise Stuck)
         roots;
+      `Model (assignment, mentioned)
+    with
+    | Unsat_class -> `Unsat
+    | Stuck -> `Unknown
+
+let solve c =
+  match assign c with
+  | (`Unsat | `Unknown) as r -> r
+  | `Model (assignment, mentioned) ->
       let needed =
         List.fold_left (fun acc i -> max acc (i + 1)) c.len_lo mentioned
       in
@@ -432,9 +448,8 @@ let solve c =
         (* Opaque predicates were not part of the search; check the model
            against the full condition and refuse to guess if it fails. *)
         if satisfies c packet then `Sat packet else `Unknown
-    with
-    | Unsat_class -> `Unsat
-    | Stuck -> `Unknown
+
+let unsat c = match assign c with `Unsat -> true | `Unknown | `Model _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Path enumeration                                                    *)
@@ -585,7 +600,7 @@ let apply_cases ctx sink c op a b ~k =
   | Op.And | Op.Or | Op.Xor | Op.Add | Op.Sub | Op.Mul | Op.Lsh | Op.Rsh ->
       k (bin ctx op a b) c
 
-let run ?(budget = default_budget) ctx validated =
+let run ?(budget = default_budget) ?(lit = Fun.id) ctx validated =
   let insns = Array.of_list (Program.insns (Validate.program validated)) in
   let n = Array.length insns in
   let sink =
@@ -616,7 +631,7 @@ let run ?(budget = default_budget) ctx validated =
   and with_action action stack c k =
     match action with
     | Action.Nopush -> k stack c
-    | Action.Pushlit v -> k (const ctx v :: stack) c
+    | Action.Pushlit v -> k (imm ctx (lit v) :: stack) c
     | Action.Pushzero -> k (const ctx 0 :: stack) c
     | Action.Pushone -> k (const ctx 1 :: stack) c
     | Action.Pushffff -> k (const ctx 0xffff :: stack) c
@@ -660,7 +675,7 @@ let run_ir ?(budget = default_budget) ctx (ir : Ir.t) =
      before any of its reads. *)
   let env = Array.make (max 1 ir.Ir.reg_count) None in
   let value = function
-    | Ir.Imm v -> const ctx v
+    | Ir.Imm v -> imm ctx v
     | Ir.Reg r -> (
         match env.(r) with
         | Some e -> e

@@ -72,12 +72,23 @@ type outcome = {
 val default_budget : int
 (** Default bound on emitted paths (4096). *)
 
-val run : ?budget:int -> Ctx.t -> Validate.t -> outcome
-(** Enumerate the paths of a validated stack program. *)
+val param_base : int
+(** [0x10000]. An immediate [v >= param_base] stands for {e parameter}
+    [v - param_base]: an arbitrary 16-bit value, modelled as a word past
+    any packet (load indices are 16-bit, so no load reaches it, and nothing
+    forks on its presence). A path decomposition over parameters holds for
+    every assignment of them; a witness for it is not a packet, so callers
+    must only trust proofs ({!unsat}, structural equality) there. *)
+
+val run : ?budget:int -> ?lit:(int -> int) -> Ctx.t -> Validate.t -> outcome
+(** Enumerate the paths of a validated stack program. [lit] maps each
+    [Pushlit] value to the immediate it pushes (default: itself); mapping
+    a literal to [param_base + k] makes it parameter [k]. *)
 
 val run_ir : ?budget:int -> Ctx.t -> Ir.t -> outcome
 (** Enumerate the paths of a register-IR program ({!Ir.t} as executed by
-    {!Regvm}: loads and divisions by zero reject, [Tcond] exits early). *)
+    {!Regvm}: loads and divisions by zero reject, [Tcond] exits early).
+    Immediates at or above {!param_base} are parameters. *)
 
 val equal_cond : cond -> cond -> bool
 (** Structural equality of the atom sequences. Meaningful only for
@@ -96,6 +107,10 @@ val solve : cond -> [ `Sat of Pf_pkt.Packet.t | `Unsat | `Unknown ]
     enumeration is exhaustive). [`Unknown] is returned whenever neither
     can be established, e.g. when opaque predicates resist the solved
     assignment. *)
+
+val unsat : cond -> bool
+(** [solve c = `Unsat], without building a model packet: a proof that no
+    assignment of the words (parameters included) satisfies [c]. *)
 
 val satisfies : cond -> Pf_pkt.Packet.t -> bool
 (** Evaluate every atom — including opaque predicates — against a concrete

@@ -418,7 +418,17 @@ let check ?(extra = []) program packet =
       (match attempt "equiv-ir" (fun () -> fst (Regopt.optimize v)) with
       | Some ir ->
         expect_equiv "equiv-ir" ~require_proof:false (Equiv.Prog v)
-          (Equiv.Ir_prog ir)
+          (Equiv.Ir_prog ir);
+        (* The shape verdict a device memoizes for this compile holds for
+           every literal value, so the per-program check must agree at
+           this program's own literals: prove, not refute. *)
+        if
+          attempt "equiv-shape" (fun () ->
+            Equiv.shape_proves ~budget:symex_budget ~pair_budget:1024 v ir)
+          = Some true
+        then
+          expect_equiv "equiv-shape" ~require_proof:true (Equiv.Prog v)
+            (Equiv.Ir_prog ir)
       | None -> ());
       (* Stochastic superoptimizer: a short proof-gated search seeded from
          the program's own encoding (so replays are deterministic). Every

@@ -27,7 +27,10 @@
     - the {!Pf_filter.Peephole} pre-pass followed by the checked and fast
       interpreters,
     - the {!Pf_filter.Regvm} register VM over the optimized
-      {!Pf_filter.Ir} lowering,
+      {!Pf_filter.Ir} lowering, and its install-time certification: when
+      the shape verdict ({!Pf_filter.Equiv.shape_proves}) proves the
+      compile for every literal value, the per-program
+      {!Pf_filter.Equiv.check_ir} must prove it too,
     - the {!Pf_filter.Regopt.raise_program} round trip: the raised stack
       program must validate, must not grow in code words or
       {!Pf_filter.Analysis.cost_bound}, and must agree under both the

@@ -90,7 +90,7 @@ type port = {
   mutable analysis : Pf_filter.Analysis.t option;
   mutable certification : Pf_filter.Equiv.certification option;
       (* translation-validation outcome of the install-time compilation;
-         None when the device was not certifying at install time *)
+         None until a filter is installed *)
   mutable priority : int; (* 0..255 *)
   mutable order : int;
       (* place among equal priorities: the id, until a busier-first reorder
@@ -122,10 +122,10 @@ and t = {
   mutable demuxed_since_reorder : int;
   mutable strategy : [ `Sequential | `Dispatch ];
   mutable compile_strategy : [ `Off | `Regvm | `Regvm_super ];
-  mutable certify : bool; (* translation-validate install-time compilation *)
-  superopt_memo : Pf_filter.Equiv.Memo.t;
-      (* device-wide equivalence-verdict memo: [`Regvm_super] installs of
-         recurring programs (and recurring search candidates) prove once *)
+  equiv_memo : Pf_filter.Equiv.Memo.t;
+      (* device-wide equivalence-verdict memo: each filter shape's compile
+         is certified once, and [`Regvm_super] search candidates that
+         recur prove once *)
   mutable cost_limit : int option; (* admission bound on a filter's cost_bound *)
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
@@ -266,8 +266,7 @@ let create_smp engine smp costs stats ~variant ~address ~send =
     demuxed_since_reorder = 0;
     strategy = `Sequential;
     compile_strategy = `Off;
-    certify = false;
-    superopt_memo = Pf_filter.Equiv.Memo.create ();
+    equiv_memo = Pf_filter.Equiv.Memo.create ();
     cost_limit = None;
     cache_enabled = true;
     cache_capacity = 256;
@@ -570,8 +569,9 @@ let open_port t =
   in
   t.ports <- Ranks.add (rank_of port) port t.ports;
   san_table_write t;
-  (* A port with no filter is in no automaton. *)
-  invalidate_cache t;
+  (* A port with no filter accepts nothing and is in no automaton, so no
+     cached decision or automaton changes: nothing to flush. Its first
+     [install] invalidates. *)
   port
 
 let close_port port =
@@ -601,84 +601,17 @@ let set_cost_limit t limit =
   t.cost_limit <- limit;
   invalidate_cache t
 
-(* Installation = validation + abstract interpretation. The analysis result
-   is recorded on the port: its cost bound gates admission (a filter the
-   device provably cannot afford per packet is refused up front, not
-   throttled later), and its verdict/relations feed the status surface. *)
+(* Installation = validation + abstract interpretation + compilation. The
+   analysis is recorded on the port: its cost bound gates admission (a
+   filter the device provably cannot afford per packet is refused up front,
+   before any compilation is paid for or counted), and its
+   verdict/relations feed the status surface. *)
 let install port program =
   match Pf_filter.Validate.check program with
   | Error e -> Error (Invalid e)
   | Ok validated -> (
     let t = port.dev in
-    (* Compile according to the device strategy. [`Regvm] compiles the
-       optimized IR for direct register execution on the walk; the stack
-       compilation is kept for the status surface. *)
-    let fast, regvm, kind, compiled_insns, certification =
-      match t.compile_strategy with
-      | `Off ->
-        ( Pf_filter.Fast.compile validated,
-          None,
-          `Stack,
-          Pf_filter.Program.insn_count program,
-          (* identity compilation: trivially meaning-preserving *)
-          if t.certify then Some Pf_filter.Equiv.Certified else None )
-      | `Regvm -> (
-        let rvm = Pf_filter.Regvm.compile validated in
-        let certification =
-          if t.certify then
-            Some
-              (Pf_filter.Equiv.certification_of_report
-                 (Pf_filter.Equiv.check_ir validated (Pf_filter.Regvm.ir rvm)))
-          else None
-        in
-        match certification with
-        | Some (Pf_filter.Equiv.Refuted _) ->
-          (* A refuted IR compilation never runs: keep the checked stack
-             engine for this port and surface the witness. *)
-          ( Pf_filter.Fast.compile validated,
-            None,
-            `Stack,
-            Pf_filter.Program.insn_count program,
-            certification )
-        | _ ->
-          ( Pf_filter.Fast.compile validated,
-            Some rvm,
-            `Regvm,
-            Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm),
-            certification ))
-      | `Regvm_super ->
-        (* The stochastic search needs a verified incumbent, so this
-           strategy always runs the certified pipeline (a refuted pipeline
-           falls back to the plain lowering inside
-           [Regopt.optimize_superopt] before the search starts — the VM
-           below is safe to run either way). The device-wide memo shares
-           proof work across installs of recurring programs. *)
-        let rvm, certification, outcome =
-          Pf_filter.Regvm.compile_super ~memo:t.superopt_memo validated
-        in
-        let st = outcome.Pf_filter.Superopt.stats in
-        Stats.incr ~by:st.Pf_filter.Superopt.accepted t.stats "pf.superopt.accepted";
-        Stats.incr ~by:st.Pf_filter.Superopt.rejected t.stats "pf.superopt.rejected";
-        Stats.incr ~by:st.Pf_filter.Superopt.refuted t.stats "pf.superopt.refuted";
-        Stats.incr ~by:st.Pf_filter.Superopt.proved t.stats "pf.superopt.proved";
-        ( Pf_filter.Fast.compile validated,
-          Some rvm,
-          `Regvm_super,
-          Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm),
-          (* The search cannot run without certifying its incumbent, so the
-             certification is always in hand — record it whether or not the
-             device opted into [set_certify]. *)
-          Some certification )
-    in
-    (match certification with
-    | None -> ()
-    | Some Pf_filter.Equiv.Certified -> Stats.incr t.stats "pf.certify.proved"
-    | Some (Pf_filter.Equiv.Refuted _) ->
-      Stats.incr t.stats "pf.certify.refuted"
-    | Some (Pf_filter.Equiv.Uncertified _) ->
-      Stats.incr t.stats "pf.certify.unknown");
-    (* Admission and the status surface use the analysis of the installed
-       stack program. *)
+    let fast = Pf_filter.Fast.compile validated in
     let analysis = Pf_filter.Fast.analysis fast in
     match t.cost_limit with
     | Some limit when analysis.Pf_filter.Analysis.cost_bound > limit ->
@@ -686,6 +619,39 @@ let install port program =
         (Cost_limit_exceeded
            { bound = analysis.Pf_filter.Analysis.cost_bound; limit })
     | _ ->
+      (* Compile according to the device strategy; the stack compilation is
+         kept for the status surface. Every compile is certified, each
+         filter shape proved once through the device memo; a refuted one
+         runs the plain lowering ([Regopt.certify]). *)
+      let regvm, kind, compiled_insns, certification =
+        match t.compile_strategy with
+        | `Off ->
+          (* identity compilation: trivially meaning-preserving *)
+          (None, `Stack, Pf_filter.Program.insn_count program, Pf_filter.Equiv.Certified)
+        | `Regvm ->
+          let rvm, certification =
+            Pf_filter.Regvm.compile_certified ~memo:t.equiv_memo validated
+          in
+          (Some rvm, `Regvm, Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm), certification)
+        | `Regvm_super ->
+          let rvm, certification, outcome =
+            Pf_filter.Regvm.compile_super ~memo:t.equiv_memo validated
+          in
+          let st = outcome.Pf_filter.Superopt.stats in
+          Stats.incr ~by:st.Pf_filter.Superopt.accepted t.stats "pf.superopt.accepted";
+          Stats.incr ~by:st.Pf_filter.Superopt.rejected t.stats "pf.superopt.rejected";
+          Stats.incr ~by:st.Pf_filter.Superopt.refuted t.stats "pf.superopt.refuted";
+          Stats.incr ~by:st.Pf_filter.Superopt.proved t.stats "pf.superopt.proved";
+          ( Some rvm,
+            `Regvm_super,
+            Pf_filter.Ir.instr_count (Pf_filter.Regvm.ir rvm),
+            certification )
+      in
+      Stats.incr t.stats
+        (match certification with
+        | Pf_filter.Equiv.Certified -> "pf.certify.proved"
+        | Pf_filter.Equiv.Refuted _ -> "pf.certify.refuted"
+        | Pf_filter.Equiv.Uncertified _ -> "pf.certify.unknown");
       (* "at a cost comparable to that of receiving a packet" (§3.1) *)
       charge (t.costs.Costs.syscall + Costs.copy_cost t.costs ~bytes:(2 * Pf_filter.Program.code_words program) + t.costs.Costs.recv_interrupt);
       let before = filed port in
@@ -699,7 +665,7 @@ let install port program =
       port.insns_compiled <- compiled_insns;
       port.validated <- Some (Pf_filter.Fast.validated fast);
       port.analysis <- Some analysis;
-      port.certification <- certification;
+      port.certification <- Some certification;
       if port.is_open then count_read_set t port 1;
       reprioritize t port (Pf_filter.Program.priority program);
       san_table_write t;
@@ -746,9 +712,6 @@ let set_compile_strategy t strategy =
     t.compile_strategy <- strategy;
     invalidate_cache t
   end
-
-let set_certify t certify = t.certify <- certify
-let certify t = t.certify
 
 type engine_stats = {
   engine : [ `Stack | `Regvm | `Regvm_super ];

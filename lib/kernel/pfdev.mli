@@ -78,8 +78,10 @@ val pp_install_error : Format.formatter -> install_error -> unit
 val install : port -> Pf_filter.Program.t -> (Pf_filter.Analysis.t, install_error) result
 (** Validates ahead of time (section 7), runs the installation-time abstract
     interpretation ({!Pf_filter.Analysis}), applies cost-bound admission
-    control, and installs; charges a cost "comparable to that of receiving a
-    packet" (section 3.1). Returns the recorded analysis. *)
+    control, and only then compiles, certifies and installs: a refused
+    filter compiles nothing and moves no ["pf.certify.*"] or
+    ["pf.superopt.*"] stat. Charges a cost "comparable to that of
+    receiving a packet" (section 3.1). Returns the recorded analysis. *)
 
 val set_filter : port -> Pf_filter.Program.t -> (unit, install_error) result
 (** [install] without the analysis result. *)
@@ -93,11 +95,12 @@ val port_analysis : port -> Pf_filter.Analysis.t option
 (** Analysis of the installed filter, recorded at installation time. *)
 
 val port_certification : port -> Pf_filter.Equiv.certification option
-(** Translation-validation outcome of the install-time compilation,
-    recorded when the device was certifying ({!set_certify}) — [None]
-    otherwise. [Refuted] means the optimized form was {e rejected} and the
-    port runs a fallback engine; the witness packet is kept for
-    diagnosis. *)
+(** Translation-validation outcome of the install-time compilation: [Some]
+    for every port with an installed filter, [None] before the first
+    install. [`Off] records [Certified] (the program runs as installed).
+    [Refuted] means the optimized IR was {e rejected} and the port runs
+    the plain lowering ({!Pf_filter.Regopt.certify}); the witness packet
+    is kept for diagnosis. *)
 
 val port_id : port -> int
 (** Stable identifier, for correlating {!filter_relations} output. *)
@@ -164,22 +167,19 @@ val set_compile_strategy : t -> [ `Off | `Regvm | `Regvm_super ] -> unit
     Applies to filters installed {e after} the call; already-installed
     ports keep their engine. Verdicts are engine-independent (the fuzz
     oracle cross-checks all of them), so demultiplexing decisions do not
-    change — only their simulated cost. Together with the two strategies,
-    {!set_certify} and {!set_cache_enabled} this makes 2 × 3 × 2 × 2 = 24
-    settable configurations. *)
+    change — only their simulated cost. Together with the two strategies
+    and {!set_cache_enabled} this makes 2 × 3 × 2 = 12 settable
+    configurations.
 
-val set_certify : t -> bool -> unit
-(** When enabled, {!install} translation-validates whatever the compile
-    strategy produced against the installed program
-    ({!Pf_filter.Equiv}): a proof increments the device stat
-    ["pf.certify.proved"], a confirmed counterexample increments
-    ["pf.certify.refuted"] {e and} makes a [`Regvm] port keep the checked
-    stack engine, and an inconclusive check increments ["pf.certify.unknown"]
-    and keeps the optimized form. The outcome is recorded on the port
-    ({!port_certification}). Applies to installs {e after} the call.
-    Default: off. *)
-
-val certify : t -> bool
+    Every install is translation-validated against the installed program
+    ({!Pf_filter.Equiv.certify_ir}), at no simulated cost: a proof
+    increments the device stat ["pf.certify.proved"], a confirmed
+    counterexample increments ["pf.certify.refuted"] and makes the port
+    run the plain lowering, and an inconclusive check increments
+    ["pf.certify.unknown"] and keeps the optimized form. Proofs are kept
+    per filter shape in a device-wide memo, so ports whose filters differ
+    only in a literal share one. The outcome is recorded on the port
+    ({!port_certification}). *)
 
 type engine_stats = {
   engine : [ `Stack | `Regvm | `Regvm_super ];
@@ -271,11 +271,12 @@ val demux : t -> ?cpu:int -> ?kernel_claimed:bool -> Pf_pkt.Packet.t -> bool
     {!Pf_filter.Analysis.t.read_set} of the installed filters, so a repeated
     header pattern costs one hash probe instead of a filter interpretation.
     The cache is transparently flushed by every mutation that could change a
-    decision ({!open_port}, {!close_port}, {!install}/{!set_filter},
+    decision ({!close_port}, {!install}/{!set_filter},
     {!set_priority}, {!set_strategy}, {!set_copy_all}, {!set_tap},
     {!set_cost_limit}, and busier-first reorders that change the walk order)
     and bypassed for kernel-claimed packets or when any installed filter's
-    read set is [Unbounded].
+    read set is [Unbounded]. {!open_port} flushes nothing: a port without
+    a filter accepts nothing, and its first install flushes.
 
     Each call counts what it did in a {!work} record and charges the CPU
     exactly {!price} of it: classification first, then (when a port

@@ -525,7 +525,7 @@ let test_cache_invalidated_on_close_port () =
   Alcotest.(check int) "the probe missed" 0 (Pfdev.cache_stats pf).Pfdev.hits;
   Engine.run eng
 
-let test_cache_invalidated_on_open_port () =
+let test_cache_port_opened_later_wins () =
   let eng, _, _, bob = mk_world () in
   let pf = Host.pf bob in
   let low = Pfdev.open_port pf in
@@ -533,11 +533,18 @@ let test_cache_invalidated_on_open_port () =
   let frame = cache_frame () in
   Alcotest.(check bool) "low wins alone" true (Pfdev.demux pf frame);
   let high = Pfdev.open_port pf in
+  (* A port without a filter accepts nothing: opening it keeps the cached
+     decision, which is still right. *)
+  let hits = (Pfdev.cache_stats pf).Pfdev.hits in
+  Alcotest.(check bool) "accepted before the install" true (Pfdev.demux pf frame);
+  Alcotest.(check int) "open_port kept the cached decision" (hits + 1)
+    (Pfdev.cache_stats pf).Pfdev.hits;
+  Alcotest.(check int) "low got it" 2 (Pfdev.port_accepted low);
   set_filter_exn high (socket_filter ~priority:9 35);
   Alcotest.(check bool) "still accepted" true (Pfdev.demux pf frame);
   Alcotest.(check int) "new high-priority port wins, not the cached one" 1
     (Pfdev.port_accepted high);
-  Alcotest.(check int) "low got only the first" 1 (Pfdev.port_accepted low);
+  Alcotest.(check int) "low got nothing after the install" 2 (Pfdev.port_accepted low);
   Engine.run eng
 
 let test_cache_invalidated_on_set_priority () =
@@ -748,8 +755,8 @@ let suite =
         test_cache_invalidated_on_set_filter;
       Alcotest.test_case "flow cache: close_port invalidates" `Quick
         test_cache_invalidated_on_close_port;
-      Alcotest.test_case "flow cache: open_port invalidates" `Quick
-        test_cache_invalidated_on_open_port;
+      Alcotest.test_case "flow cache: port opened later wins" `Quick
+        test_cache_port_opened_later_wins;
       Alcotest.test_case "flow cache: set_priority invalidates" `Quick
         test_cache_invalidated_on_set_priority;
       Alcotest.test_case "flow cache: unbounded read set bypasses" `Quick

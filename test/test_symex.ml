@@ -535,28 +535,25 @@ let test_solve_detects_unsat () =
 
 (* {1 The pseudodevice certifies installs} *)
 
-let test_pfdev_certify () =
+let certifying_device () =
   let costs = Pf_sim.Costs.free in
   let eng = Pf_sim.Engine.create () in
   let link = Pf_net.Link.create eng Pf_net.Frame.Exp3 ~rate_mbit:3. () in
   let host =
     Host.create ~costs link ~name:"certifier" ~addr:(Pf_net.Addr.exp 1)
   in
-  let pf = Host.pf host in
-  let stats = Host.stats host in
-  let install_exn port program =
-    match Pfdev.install port program with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e
-  in
-  (* off by default: nothing recorded *)
-  let port0 = Pfdev.open_port pf in
-  install_exn port0 Predicates.fig_3_9;
-  Alcotest.(check bool) "no certification when not certifying" true
-    (Pfdev.port_certification port0 = None);
-  Pfdev.set_certify pf true;
-  Alcotest.(check bool) "certify sticks" true (Pfdev.certify pf);
-  (* each compile strategy's install certifies, and the stat counts it *)
+  (Host.pf host, Host.stats host)
+
+let install_exn port program =
+  match Pfdev.install port program with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e
+
+let test_pfdev_certify () =
+  let pf, stats = certifying_device () in
+  Alcotest.(check bool) "nothing recorded before an install" true
+    (Pfdev.port_certification (Pfdev.open_port pf) = None);
+  (* every compile strategy's install certifies, and the stat counts it *)
   List.iter
     (fun strategy ->
       let before = Pf_sim.Stats.get stats "pf.certify.proved" in
@@ -569,13 +566,128 @@ let test_pfdev_certify () =
           Alcotest.failf "shipped compile refuted by %a" Packet.pp_hex w
       | Some (Equiv.Uncertified why) ->
           Alcotest.failf "shipped compile uncertified: %s" why
-      | None -> Alcotest.fail "certifying install recorded nothing");
+      | None -> Alcotest.fail "install recorded no certification");
       Alcotest.(check int) "pf.certify.proved incremented" (before + 1)
         (Pf_sim.Stats.get stats "pf.certify.proved");
       Pfdev.close_port port)
-    [ `Off; `Regvm ];
+    [ `Off; `Regvm; `Regvm_super ];
   Alcotest.(check int) "no refutations of shipped compiles" 0
     (Pf_sim.Stats.get stats "pf.certify.refuted")
+
+(* A miscompilation wrong for exactly one literal value: the shape memo,
+   warmed by certified installs of the same shape, must never certify it,
+   and the per-program check must refute it with a packet the program and
+   the miscompiled IR really disagree on. *)
+let test_one_bad_literal_refuted () =
+  let bad = 53 in
+  (* IPv4 and destination port [port]: two literals, one shape *)
+  let filter port =
+    Program.v
+      [
+        i (Action.Pushword 6);
+        i ~op:Op.Cand (Action.Pushlit 0x0800);
+        i (Action.Pushword 18);
+        i ~op:Op.Eq (Action.Pushlit port);
+      ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Regopt.For_testing.miscompile_literal := None)
+    (fun () ->
+      Regopt.For_testing.miscompile_literal := Some bad;
+      let pf, stats = certifying_device () in
+      Pfdev.set_compile_strategy pf `Regvm;
+      let install value =
+        let port = Pfdev.open_port pf in
+        install_exn port (filter value);
+        (port, Pfdev.port_certification port)
+      in
+      let certified value =
+        match install value with
+        | _, Some Equiv.Certified -> ()
+        | _, c ->
+            Alcotest.failf "port %d: expected certified, got %s" value
+              (match c with
+              | Some c -> Format.asprintf "%a" Equiv.pp_certification c
+              | None -> "nothing")
+      in
+      let refuted () =
+        let v = validate_exn (filter bad) in
+        let miscompiled = fst (Regopt.optimize v) in
+        Alcotest.(check bool) "shape verdict refuses it" false
+          (Equiv.shape_proves v miscompiled);
+        match install bad with
+        | port, Some (Equiv.Refuted w) ->
+            let truth = Interp.accepts ~semantics:`Paper (filter bad) w in
+            Alcotest.(check bool) "witness splits program and miscompiled IR"
+              (not truth) (Ir.exec miscompiled w);
+            (* the port runs the plain lowering, which gets it right *)
+            let accepted = Pfdev.port_accepted port in
+            ignore (Pfdev.demux pf w : bool);
+            Alcotest.(check int) "fallback engine's verdict on the witness"
+              (accepted + Bool.to_int truth) (Pfdev.port_accepted port);
+            Pfdev.close_port port
+        | _, c ->
+            Alcotest.failf "bad literal: expected refuted, got %s"
+              (match c with
+              | Some c -> Format.asprintf "%a" Equiv.pp_certification c
+              | None -> "nothing")
+      in
+      certified 54;
+      certified 80;
+      refuted ();
+      certified 1024;
+      refuted ();
+      Alcotest.(check int) "pf.certify.refuted" 2
+        (Pf_sim.Stats.get stats "pf.certify.refuted");
+      Alcotest.(check int) "pf.certify.proved" 3
+        (Pf_sim.Stats.get stats "pf.certify.proved");
+      (* The same through one memo: the good values share one proof, and
+         the bad value's verdict, found in the table the second time, is
+         still no certificate. *)
+      let memo = Equiv.Memo.create () in
+      let certify value =
+        let v = validate_exn (filter value) in
+        Equiv.certify_ir memo v (fst (Regopt.optimize v))
+      in
+      List.iter
+        (fun value ->
+          Alcotest.(check bool) "good value certified" true
+            (certify value = Equiv.Certified))
+        [ 54; 80; 1024 ];
+      Alcotest.(check int) "one proof for three values" 2 (Equiv.Memo.shape_hits memo);
+      List.iter
+        (fun hits ->
+          (match certify bad with
+          | Equiv.Refuted _ -> ()
+          | c -> Alcotest.failf "bad value: %a" Equiv.pp_certification c);
+          Alcotest.(check int) "shape table consulted" hits (Equiv.Memo.shape_hits memo))
+        [ 2; 3 ])
+
+(* Admission runs before compilation: a filter the cost limit refuses is
+   neither compiled nor certified nor searched, and counts nowhere. *)
+let test_refused_install_counts_nothing () =
+  let pf, stats = certifying_device () in
+  let counted () =
+    List.filter
+      (fun (k, _) ->
+        String.starts_with ~prefix:"pf.certify." k
+        || String.starts_with ~prefix:"pf.superopt." k)
+      (Pf_sim.Stats.pairs stats)
+  in
+  List.iter
+    (fun strategy ->
+      Pfdev.set_compile_strategy pf strategy;
+      install_exn (Pfdev.open_port pf) Predicates.fig_3_8;
+      let before = counted () in
+      Pfdev.set_cost_limit pf (Some 1);
+      (match Pfdev.install (Pfdev.open_port pf) Predicates.fig_3_9 with
+      | Error (Pfdev.Cost_limit_exceeded _) -> ()
+      | Ok _ -> Alcotest.fail "install over the cost limit admitted"
+      | Error e -> Alcotest.failf "install: %a" Pfdev.pp_install_error e);
+      Alcotest.(check (list (pair string int)))
+        "refused install moves no certify/superopt stat" before (counted ());
+      Pfdev.set_cost_limit pf None)
+    [ `Off; `Regvm; `Regvm_super ]
 
 let suite =
   ( "symex",
@@ -605,4 +717,8 @@ let suite =
       Alcotest.test_case "solve detects unsatisfiable conditions" `Quick
         test_solve_detects_unsat;
       Alcotest.test_case "pfdev certifies installs" `Quick test_pfdev_certify;
+      Alcotest.test_case "one-bad-literal miscompilation refuted" `Quick
+        test_one_bad_literal_refuted;
+      Alcotest.test_case "refused install counts nothing" `Quick
+        test_refused_install_counts_nothing;
     ] )
