@@ -152,8 +152,6 @@ let write_rows path rows =
   close_out oc;
   Printf.printf "\nwrote %d metrics to %s\n" (List.length rows) path
 
-let write_json path = write_rows path (List.rev !json_metrics)
-
 (* Write only the metrics under [prefix] (a per-experiment artifact); no
    file at all when the experiment did not run. *)
 let write_json_filtered path ~prefix =

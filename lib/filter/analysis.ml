@@ -178,7 +178,7 @@ let union_read_sets a b =
 
 let analyze (validated : Validate.t) =
   let program = Validate.program validated in
-  let insns = Array.of_list (Program.insns program) in
+  let insns = program.Program.insns in
   let n = Array.length insns in
   let stack = ref [] in
   let push iv = stack := iv :: !stack in
@@ -399,8 +399,8 @@ let pp ppf t =
    (operands in either order, plus a final EQ pair) is a set of *necessary*
    equality conditions for acceptance — a mismatched CAND exits rejecting,
    and the final EQ leaves its result on top. When such a chain is the whole
-   program the conditions are also *sufficient*. Mirrors the idioms
-   {!Decision.guard_chain} indexes on. *)
+   program the conditions are also *sufficient*. The same chains key
+   {!Dispatch}'s groups. *)
 
 let const_of_action = function
   | Action.Pushlit v -> Some v

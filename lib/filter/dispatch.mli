@@ -1,7 +1,8 @@
 (** The cross-filter dispatch automaton: sublinear demultiplexing over the
-    whole installed port set.
+    whole installed port set, and this repo's form of §7's "compile the set
+    of active filters into a decision table".
 
-    {!Decision} makes demux cheaper per filter; this module makes it
+    The engines make demux cheaper per filter; this module makes it
     cheaper {e in the number of filters}. The entire active set is compiled
     into one shared-prefix dispatch structure over read-set words (in the
     spirit of BPF+'s CFG merging): filters are grouped by the {e offset

@@ -12,7 +12,7 @@ type t = {
 let compile validated =
   { validated;
     analysis = Analysis.analyze validated;
-    insns = Array.of_list (Program.insns (Validate.program validated));
+    insns = (Validate.program validated).Program.insns;
     stack = Array.make Interp.stack_size 0;
   }
 

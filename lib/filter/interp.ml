@@ -21,7 +21,7 @@ type semantics = [ `Paper | `Bsd ]
 exception Verdict of outcome
 
 let run ?(semantics = `Paper) program packet =
-  let insns = Array.of_list (Program.insns program) in
+  let insns = program.Program.insns in
   let n = Array.length insns in
   let words = Packet.word_count packet in
   let stack = Array.make stack_size 0 in
@@ -62,20 +62,22 @@ let run ?(semantics = `Paper) program packet =
       push pc (packet_word pc index));
     match insn.op with
     | Op.Nop -> ()
-    | op -> (
+    | op ->
       let t1 = pop pc in
       let t2 = pop pc in
-      match Op.apply op ~t2 ~t1 with
-      | Op.Push r -> (
+      (* [Op.apply_int], not [Op.apply]: a [Push] would allocate on every
+         operator. *)
+      let r = Op.apply_int op ~t2 ~t1 in
+      if r >= 0 then (
         match (semantics, Op.is_short_circuit op) with
         | `Bsd, true -> ()
         | (`Paper | `Bsd), _ -> push pc r)
-      | Op.Terminate accept ->
-        raise (Verdict { accept; insns_executed = pc + 1; error = None })
-      | Op.Fault ->
+      else if r = Op.apply_fault then
         raise
           (Verdict
-             { accept = false; insns_executed = pc + 1; error = Some (Division_by_zero pc) }))
+             { accept = false; insns_executed = pc + 1; error = Some (Division_by_zero pc) })
+      else
+        raise (Verdict { accept = r = Op.apply_accept; insns_executed = pc + 1; error = None })
   in
   try
     for pc = 0 to n - 1 do

@@ -89,10 +89,6 @@ val load_count : t -> int
 (** Number of packet-load instructions ([Load] + [Loadind]) — what common
     subexpression elimination minimizes. *)
 
-val defs : t -> instr option array
-(** Per-register defining instruction ([None] for registers left undefined
-    by optimization); index by register number. *)
-
 val pp : Format.formatter -> t -> unit
 (** One instruction per line, e.g.
     {v

@@ -369,198 +369,21 @@ let optimize validated =
   in
   (ir, report)
 
-(* {1 Raising back to a stack program}
-
-   Replays the IR in order as stack code. Pure values are rematerialized at
-   their use sites (the stack machine has no dup, and packets are immutable,
-   so recomputation is sound and a re-executed load cannot fault after its
-   first execution succeeded). Instructions that can reject on their own
-   cannot be deferred past an *accepting* exit — a fault and a rejecting
-   exit are observably the same verdict in either order, so only Cor/Cnand
-   exits and the final terminator force pending rejectors to be pinned
-   (emitted for effect, their values left as stack garbage below the live
-   computation). *)
-
-exception Too_big
-
-let raise_ir (ir : Ir.t) ~priority =
-  let defs = Ir.defs ir in
-  let def_index = Array.make ir.Ir.reg_count (-1) in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | Ir.Load { dst; _ } | Ir.Loadind { dst; _ } | Ir.Binop { dst; _ } ->
-        def_index.(dst) <- i
-      | Ir.Tcond _ -> ())
-    ir.Ir.instrs;
-  let emitted = ref [] in
-  let n_emitted = ref 0 in
-  let budget = 480 in
-  let floor = ref (-1) in
-  let depth = ref 0 in
-  let top_const = ref None in
-  let executed = Array.make (Array.length ir.Ir.instrs) false in
-  let pending = ref [] (* rejector instruction indices, reversed *) in
-  let emit ?top insn =
-    if !n_emitted >= budget then raise Too_big;
-    emitted := insn :: !emitted;
-    incr n_emitted;
-    (match insn.Insn.action with
-    | Action.Nopush | Action.Pushind -> ()
-    | _ -> incr depth);
-    if insn.Insn.op <> Op.Nop then decr depth;
-    top_const := top;
-    match insn.Insn.action with
-    | Action.Pushword w -> if w > !floor then floor := w
-    | _ -> ()
-  in
-  (* Attach an operator to the value just pushed, fusing it into the last
-     instruction when its operator slot is free (the encoding pairs one
-     push action with one operator). *)
-  let emit_op ?top op =
-    match !emitted with
-    | ({ Insn.action; op = Op.Nop } as _last) :: rest ->
-      emitted := { Insn.action; op } :: rest;
-      decr depth;
-      top_const := top
-    | _ -> emit ?top (Insn.make ~op Action.Nopush)
-  in
-  let emit_const v =
-    let action =
-      match v with
-      | 0 -> Action.Pushzero
-      | 1 -> Action.Pushone
-      | 0xffff -> Action.Pushffff
-      | 0xff00 -> Action.Pushff00
-      | 0x00ff -> Action.Push00ff
-      | v -> Action.Pushlit v
-    in
-    emit ~top:v (Insn.make action)
-  in
-  let rec emit_value (o : Ir.operand) =
-    match o with
-    | Ir.Imm v -> emit_const v
-    | Ir.Reg r -> (
-      let i = def_index.(r) in
-      match defs.(r) with
-      | None -> invalid_arg "Regopt.raise_ir: use of an undefined register"
-      | Some ins -> emit_instr i ins)
-  and emit_instr i ins =
-    (match ins with
-    | Ir.Load { word; _ } -> emit (Insn.make (Action.Pushword word))
-    | Ir.Loadind { idx; _ } ->
-      emit_value idx;
-      emit (Insn.make Action.Pushind);
-      (match idx with Ir.Imm v when v > !floor -> floor := v | _ -> ())
-    | Ir.Binop { op; a; b; _ } ->
-      emit_value a;
-      emit_value b;
-      emit_op op
-    | Ir.Tcond _ -> assert false);
-    executed.(i) <- true
-  in
-  let rec subtree acc (o : Ir.operand) =
-    match o with
-    | Ir.Imm _ -> acc
-    | Ir.Reg r -> (
-      let i = def_index.(r) in
-      if List.mem i acc then acc
-      else
-        let acc = i :: acc in
-        match defs.(r) with
-        | None -> acc
-        | Some (Ir.Load _) -> acc
-        | Some (Ir.Loadind { idx; _ }) -> subtree acc idx
-        | Some (Ir.Binop { a; b; _ }) -> subtree (subtree acc a) b
-        | Some (Ir.Tcond _) -> acc)
-  in
-  (* Pin every pending rejector that is not about to be evaluated anyway as
-     part of [except] (an operand tree), skipping ones an earlier emission
-     already proved harmless. *)
-  let flush ?(except = []) () =
-    List.iter
-      (fun i ->
-        if (not executed.(i)) && not (List.mem i except) then
-          match ir.Ir.instrs.(i) with
-          | Ir.Load { word; _ } when word <= !floor -> executed.(i) <- true
-          | Ir.Loadind { idx = Ir.Imm v; _ } when v <= !floor -> executed.(i) <- true
-          | ins -> emit_instr i ins)
-      (List.rev !pending);
-    pending := []
-  in
-  let rejector = function
-    | Ir.Load { word; _ } -> word > !floor
-    | Ir.Loadind _ -> true
-    | Ir.Binop { op = Op.Div | Op.Mod; b; _ } -> (
-      match b with Ir.Imm v -> v = 0 | Ir.Reg _ -> true)
-    | Ir.Binop _ -> false
-    | Ir.Tcond _ -> false
-  in
-  try
-    Array.iteri
-      (fun i ins ->
-        match ins with
-        | Ir.Tcond { cond; a; b; verdict } ->
-          let op, fallthrough =
-            match (cond, verdict) with
-            | Ir.Ceq, true -> (Op.Cor, 0)
-            | Ir.Cne, false -> (Op.Cand, 1)
-            | Ir.Ceq, false -> (Op.Cnor, 0)
-            | Ir.Cne, true -> (Op.Cnand, 1)
-          in
-          if verdict then flush ~except:(subtree (subtree [] a) b) ();
-          emit_value a;
-          emit_value b;
-          emit_op ~top:fallthrough op
-        | ins -> if rejector ins then pending := i :: !pending)
-      ir.Ir.instrs;
-    (match ir.Ir.terminator with
-    | Ir.Accept_if o ->
-      flush ~except:(subtree [] o) ();
-      emit_value o
-    | Ir.Halt verdict -> (
-      flush ();
-      let top_decides =
-        !depth > 0
-        && match !top_const with Some v -> v <> 0 = verdict | None -> false
-      in
-      let empty_accepts = !depth = 0 && verdict in
-      if not (top_decides || empty_accepts) then emit_const (if verdict then 1 else 0)));
-    Some (Program.v ~priority (List.rev !emitted))
-  with Too_big -> None
-
-let raise_program validated =
-  let original = Validate.program validated in
-  let facts = Analysis.analyze validated in
-  let ir, report = optimize validated in
-  let fallback = (original, { report with fell_back = true }) in
-  match raise_ir ir ~priority:(Program.priority original) with
-  | None -> fallback
-  | Some candidate -> (
-    match Validate.check candidate with
-    | Error _ -> fallback
-    | Ok vc ->
-      if Program.code_words candidate > Program.code_words original then fallback
-      else if
-        (Analysis.analyze vc).Analysis.cost_bound > facts.Analysis.cost_bound
-      then fallback
-      else (candidate, report))
-
 let certify ?budget ?(memo = Equiv.Memo.create ()) validated (ir, report) =
   let certification = Equiv.certify_ir ?budget memo validated ir in
   match certification with
-  | Equiv.Refuted _ ->
-    (* Never ship a refuted optimization: fall back to plain lowering,
-       whose shape Regvm executes just as well. *)
+  | Equiv.Certified -> ((ir, report), certification)
+  | Equiv.Refuted _ | Equiv.Uncertified _ ->
+    (* Never ship an optimization that was not proved: fall back to plain
+       lowering, whose shape Regvm executes just as well. *)
     ((Ir.lower validated, { report with fell_back = true }), certification)
-  | Equiv.Certified | Equiv.Uncertified _ -> ((ir, report), certification)
 
 let optimize_superopt ?equiv_budget ?budget ?seed ?memo validated =
   let (ir, report), certification =
     certify ?budget:equiv_budget ?memo validated (optimize validated)
   in
-  (* The search runs on whatever the certified pipeline shipped — on a
-     refuted pipeline that is the plain lowering, which certifies
+  (* The search runs on whatever the certified pipeline shipped — for an
+     unproved pipeline that is the plain lowering, which certifies
      trivially, so the chain's incumbent is always a verified program. *)
   let outcome = Superopt.search ?budget ?seed ?memo ir in
   let best = outcome.Superopt.best in

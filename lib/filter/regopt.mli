@@ -26,22 +26,9 @@
 
     The pipeline preserves the [`Paper] verdict of {!Interp.run} on every
     packet — including short packets and runtime faults. The differential
-    fuzz oracle ({!Pf_fuzz.Oracle}) cross-checks both the optimized IR
-    (via {!Regvm}) and the raised stack program on every case.
-
-    {2 Raising}
-
-    {!raise_program} lowers, optimizes, and then {e raises} the IR back
-    into a stack program, so every stack engine (Interp/Fast/Closure/
-    Decision) and the 16-bit wire encoding benefit from the same
-    optimization. Raising replays the IR in order: compare-and-terminate
-    exits become short-circuit operators, operand trees are rematerialized
-    on demand (the stack machine has no dup, so shared values are
-    recomputed — sound because packets are immutable), and instructions
-    that can reject are pinned before the next accepting exit so fault
-    order stays observably identical. If the result does not validate,
-    grows in code words, or raises the {!Analysis.t.cost_bound}, the
-    original program is returned unchanged — raising never loses. *)
+    fuzz oracle ({!Pf_fuzz.Oracle}) cross-checks the optimized IR (via
+    {!Regvm}) on every case, and {!certify} proves it against the source
+    before a device runs it. *)
 
 type report = {
   insns_before : int;  (** stack instructions in the source program *)
@@ -53,9 +40,9 @@ type report = {
       (** Per-pass change counts in pipeline order ([analysis], [fold],
           [cse], [dve]), summed over fixpoint iterations. *)
   fell_back : bool;
-      (** {!raise_program} only: the raised candidate was rejected (failed
-          validation, grew, or cost more) and the original program was
-          kept. Always [false] in {!optimize} reports. *)
+      (** {!certify} only: the optimized IR was not proved equal to its
+          source and the plain lowering ({!Ir.lower}) replaced it. Always
+          [false] in {!optimize} reports. *)
 }
 
 val optimize : Validate.t -> Ir.t * report
@@ -63,22 +50,17 @@ val optimize : Validate.t -> Ir.t * report
     renumbered densely afterwards (the [reg_count] is what {!Regvm} sizes
     its scratch file with). *)
 
-val raise_program : Validate.t -> Program.t * report
-(** The full lower → optimize → raise round trip with the never-lose
-    fallback described above. The result always validates, never has more
-    code words than the source, never a larger {!Analysis.t.cost_bound},
-    and keeps the [`Paper] verdict on every packet. *)
-
 val certify :
   ?budget:int -> ?memo:Equiv.Memo.t -> Validate.t -> Ir.t * report ->
   (Ir.t * report) * Equiv.certification
 (** Translation-validate an {!optimize} result against its source with
     {!Equiv.certify_ir}, through [memo]'s shape table (default: a fresh
-    one). This is the one refuted-compile policy, for both
-    register-VM install strategies: on {!Equiv.Refuted} the plain lowering
-    ({!Ir.lower}, with [fell_back] set) replaces the optimized IR and the
-    witness packet is returned; [Uncertified] keeps the optimized IR and
-    says why the check fell short (e.g. path budget). *)
+    one). This is the one unproved-compile policy, for both register-VM
+    install strategies: unless the result is {!Equiv.Certified}, the plain
+    lowering ({!Ir.lower}, with [fell_back] set) replaces the optimized IR.
+    The certification is returned either way: [Refuted] carries the
+    witness packet, [Uncertified] says why the check fell short (e.g. path
+    budget, an undecided path pair). *)
 
 val optimize_superopt :
   ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->

@@ -23,9 +23,9 @@ val compile : Validate.t -> t
 
 val compile_certified : memo:Equiv.Memo.t -> Validate.t -> t * Equiv.certification
 (** {!compile} under translation validation, proved once per filter shape
-    through [memo] ({!Regopt.certify}): a refuted compile runs the plain
-    lowering instead, and the witness comes back with it. What a
-    [`Regvm] install runs. *)
+    through [memo] ({!Regopt.certify}): a compile that is not certified
+    runs the plain lowering instead, and the witness or the reasons come
+    back with it. What a [`Regvm] install runs. *)
 
 val compile_super :
   ?equiv_budget:int -> ?budget:int -> ?seed:int -> ?memo:Equiv.Memo.t ->

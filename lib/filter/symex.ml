@@ -601,7 +601,7 @@ let apply_cases ctx sink c op a b ~k =
       k (bin ctx op a b) c
 
 let run ?(budget = default_budget) ?(lit = Fun.id) ctx validated =
-  let insns = Array.of_list (Program.insns (Validate.program validated)) in
+  let insns = (Validate.program validated).Program.insns in
   let n = Array.length insns in
   let sink =
     {

@@ -79,35 +79,8 @@ let check ?(extra = []) program packet =
                paper.Interp.insns_executed executed));
       check "closure" (fun () -> Closure.run (Closure.compile v) packet);
       (* Register-IR backend: the optimized IR executed directly must agree
-         with the reference on every packet... *)
+         with the reference on every packet. *)
       check "regvm" (fun () -> Regvm.run (Regvm.compile v) packet);
-      (* ...and so must the full lower → optimize → raise round trip, which
-         additionally promises a Validate-clean result that grew in neither
-         code words nor worst-case simulated cost. *)
-      (match attempt "raise" (fun () -> Regopt.raise_program v) with
-      | None -> ()
-      | Some (raised, _report) -> (
-        match Validate.check raised with
-        | Error e ->
-          fail "raise-validate"
-            (Format.asprintf "raised program invalid: %a" Validate.pp_error e)
-        | Ok vraised ->
-          if Program.code_words raised > Program.code_words program then
-            fail "raise-growth"
-              (Printf.sprintf "grew from %d to %d code words"
-                 (Program.code_words program) (Program.code_words raised));
-          (match
-             attempt "raise-cost" (fun () ->
-                 ( (Analysis.analyze vraised).Analysis.cost_bound,
-                   (Analysis.analyze v).Analysis.cost_bound ))
-           with
-          | Some (raised_bound, orig_bound) when raised_bound > orig_bound ->
-            fail "raise-cost"
-              (Printf.sprintf "cost bound grew from %d to %d" orig_bound raised_bound)
-          | _ -> ());
-          check "raise-interp" (fun () ->
-              Interp.accepts ~semantics:`Paper raised packet);
-          check "raise-fast" (fun () -> Fast.run (Fast.compile vraised) packet)));
       (* Static analysis: every fact the abstract interpreter claims must be
          consistent with this concrete run of the checked interpreter. A
          violation here means the analysis is unsound — exactly what the
@@ -188,8 +161,6 @@ let check ?(extra = []) program packet =
           if !flipped then recheck "every word" (Packet.of_bytes b);
           if not (List.mem words idxs) then
             recheck "a grown word" (Packet.append packet (Packet.of_words [ 0xa5a5 ]))));
-      check "decision" (fun () ->
-          Decision.classify (Decision.build [ (v, ()) ]) packet <> None);
       (* The kernel demultiplexer's flow cache: the same packet through a
          cold cache, a warm cache, and a cache-disabled device must agree
          with the filter's own verdict, with identical per-port accept
@@ -407,14 +378,6 @@ let check ?(extra = []) program packet =
         expect_equiv "equiv-peephole" ~require_proof:false (Equiv.Prog v)
           (Equiv.Prog vopt)
       | Error _ -> () (* peephole-validate above already flagged it *));
-      (match attempt "equiv-raise" (fun () -> fst (Regopt.raise_program v)) with
-      | Some raised -> (
-        match Validate.check raised with
-        | Ok vr ->
-          expect_equiv "equiv-raise" ~require_proof:false (Equiv.Prog v)
-            (Equiv.Prog vr)
-        | Error _ -> () (* the raise round-trip block already flagged it *))
-      | None -> ());
       (match attempt "equiv-ir" (fun () -> fst (Regopt.optimize v)) with
       | Some ir ->
         expect_equiv "equiv-ir" ~require_proof:false (Equiv.Prog v)

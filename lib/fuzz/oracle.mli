@@ -13,7 +13,6 @@
       flipping every packet word outside an [Exact] read set, or growing the
       packet by a word it does not contain, must not change the verdict)
       must all be consistent with the concrete run,
-    - a single-filter {!Pf_filter.Decision} tree,
     - the {!Pf_kernel.Pfdev} demultiplexer's flow cache: the packet goes
       through a cold cache, a warm cache (the same device again), and a
       cache-disabled device, which must agree on the verdict, on per-port
@@ -30,11 +29,7 @@
       {!Pf_filter.Ir} lowering, and its install-time certification: when
       the shape verdict ({!Pf_filter.Equiv.shape_proves}) proves the
       compile for every literal value, the per-program
-      {!Pf_filter.Equiv.check_ir} must prove it too,
-    - the {!Pf_filter.Regopt.raise_program} round trip: the raised stack
-      program must validate, must not grow in code words or
-      {!Pf_filter.Analysis.cost_bound}, and must agree under both the
-      checked and fast interpreters, and
+      {!Pf_filter.Equiv.check_ir} must prove it too, and
     - a {!Pf_filter.Program} wire-codec encode/decode round-trip,
 
     and classifies any disagreement. Two boundaries are respected rather than

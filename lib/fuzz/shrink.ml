@@ -79,7 +79,7 @@ let minimize ?(max_checks = 4000) ~keep program packet =
        literals and word offsets toward zero). *)
     for i = 0 to Program.insn_count !prog - 1 do
       let rec improve () =
-        let insns = Array.of_list (Program.insns !prog) in
+        let insns = Array.copy !prog.Program.insns in
         let here = insns.(i) in
         let rec try_cands = function
           | [] -> ()

@@ -621,8 +621,8 @@ let install port program =
     | _ ->
       (* Compile according to the device strategy; the stack compilation is
          kept for the status surface. Every compile is certified, each
-         filter shape proved once through the device memo; a refuted one
-         runs the plain lowering ([Regopt.certify]). *)
+         filter shape proved once through the device memo; one that is
+         not proved runs the plain lowering ([Regopt.certify]). *)
       let regvm, kind, compiled_insns, certification =
         match t.compile_strategy with
         | `Off ->

@@ -98,9 +98,9 @@ val port_certification : port -> Pf_filter.Equiv.certification option
 (** Translation-validation outcome of the install-time compilation: [Some]
     for every port with an installed filter, [None] before the first
     install. [`Off] records [Certified] (the program runs as installed).
-    [Refuted] means the optimized IR was {e rejected} and the port runs
-    the plain lowering ({!Pf_filter.Regopt.certify}); the witness packet
-    is kept for diagnosis. *)
+    [Refuted] and [Uncertified] mean the optimized IR was {e rejected} and
+    the port runs the plain lowering ({!Pf_filter.Regopt.certify}); the
+    witness packet or the reasons are kept for diagnosis. *)
 
 val port_id : port -> int
 (** Stable identifier, for correlating {!filter_relations} output. *)
@@ -156,9 +156,9 @@ val set_compile_strategy : t -> [ `Off | `Regvm | `Regvm_super ] -> unit
     - [`Regvm_super]: [`Regvm] plus the stochastic superoptimizer
       ({!Pf_filter.Superopt.search}) at install time. The search always
       runs under translation validation — every committed rewrite is
-      proved equal to its incumbent, a refuted pipeline falls back to the
-      plain lowering {e before} the search starts — and its accounting
-      lands in the device stats (["pf.superopt.accepted"] /
+      proved equal to its incumbent, and an unproved pipeline falls back
+      to the plain lowering {e before} the search starts — and its
+      accounting lands in the device stats (["pf.superopt.accepted"] /
       ["rejected"] / ["refuted"] / ["proved"]; the invariant
       [accepted = proved] holds whenever the library's fault-injection
       hook is off). Equivalence verdicts are memoized device-wide, so
@@ -176,7 +176,7 @@ val set_compile_strategy : t -> [ `Off | `Regvm | `Regvm_super ] -> unit
     increments the device stat ["pf.certify.proved"], a confirmed
     counterexample increments ["pf.certify.refuted"] and makes the port
     run the plain lowering, and an inconclusive check increments
-    ["pf.certify.unknown"] and keeps the optimized form. Proofs are kept
+    ["pf.certify.unknown"] and runs the plain lowering too. Proofs are kept
     per filter shape in a device-wide memo, so ports whose filters differ
     only in a literal share one. The outcome is recorded on the port
     ({!port_certification}). *)

@@ -92,10 +92,41 @@ let test_demux_budget () =
   let per_packet = !allocated /. float_of_int n in
   if per_packet > 64. then Alcotest.failf "demux allocates %.1f words per packet (budget 64)" per_packet
 
+(* The checked interpreter reads the program's instructions in place: a
+   long program that runs to its end allocates per run no more than a
+   2-instruction one. *)
+let test_interp_run () =
+  let module Insn = Pf_filter.Insn in
+  let module Interp = Pf_filter.Interp in
+  let program n =
+    Pf_filter.Program.v
+      (Insn.make Pf_filter.Action.Pushone
+       :: List.init (n - 1) (fun _ ->
+              Insn.make ~op:Pf_filter.Op.And Pf_filter.Action.Pushone))
+  in
+  let packet = Pf_pkt.Packet.of_words [ 1; 2 ] in
+  let per_run p =
+    let runs = 100 in
+    let accepted = ref 0 in
+    let w =
+      words (fun () ->
+          for _ = 1 to runs do
+            if (Interp.run p packet).Interp.accept then incr accepted
+          done)
+    in
+    Alcotest.(check int) "every run accepts" runs !accepted;
+    w /. float_of_int runs
+  in
+  let short = per_run (program 2) and long = per_run (program 500) in
+  if long > short then
+    Alcotest.failf "a 500-instruction run allocates %.1f words, a 2-instruction one %.1f"
+      long short
+
 let suite =
   ( "alloc",
     [
       Alcotest.test_case "Fast.run_packed: 0 words" `Quick test_run_packed;
       Alcotest.test_case "engine event: 0 words" `Quick test_engine_event;
       Alcotest.test_case "paper demux: at most 64 words" `Quick test_demux_budget;
+      Alcotest.test_case "Interp.run: no words per instruction" `Quick test_interp_run;
     ] )

@@ -1,6 +1,6 @@
 (* The register-IR compiler: lowering shape, the optimizer passes (CSE,
-   dead-value elimination, Analysis-seeded folding), the never-lose raise
-   round trip, the Regvm engine, and the Pfdev compile strategies. *)
+   dead-value elimination, Analysis-seeded folding), the Regvm engine, and
+   the Pfdev compile strategies. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -118,40 +118,14 @@ let test_analysis_folding () =
     (Ir.instr_count ir);
   Alcotest.(check bool) "collapsed to accept" true (ir.Ir.terminator = Ir.Halt true)
 
-(* {1 The raise round trip} *)
+(* {1 The register VM against the reference} *)
 
 let sample_packets =
   let rng = Gen.Rng.make 0x1234 in
   let random = List.init 40 (fun _ -> fst (Gen.packet rng)) in
-  (* Short packets exercise the fault paths the raise discipline protects. *)
+  (* Short packets exercise the fault paths. *)
   let short = List.init 8 (fun n -> Packet.of_words (List.init n (fun w -> w * 3))) in
   random @ short
-
-let test_raise_round_trip () =
-  List.iter
-    (fun (name, p) ->
-      let v = validate_exn p in
-      let raised, report = Regopt.raise_program v in
-      (match Validate.check raised with
-      | Error e ->
-        Alcotest.failf "%s: raised program invalid: %a" name Validate.pp_error e
-      | Ok vr ->
-        Alcotest.(check bool)
-          (name ^ ": raised never grows") true
-          (Program.code_words raised <= Program.code_words p);
-        Alcotest.(check bool)
-          (name ^ ": raised cost bound never grows") true
-          ((Analysis.analyze vr).Analysis.cost_bound
-          <= (Analysis.analyze v).Analysis.cost_bound));
-      ignore (report : Regopt.report);
-      List.iter
-        (fun pkt ->
-          Alcotest.(check bool)
-            (name ^ ": raised verdict matches")
-            (Interp.accepts ~semantics:`Paper p pkt)
-            (Interp.accepts ~semantics:`Paper raised pkt))
-        sample_packets)
-    corpus
 
 let test_regvm_matches_interp () =
   List.iter
@@ -237,7 +211,6 @@ let suite =
       Alcotest.test_case "cse collapses duplicate loads" `Quick test_cse;
       Alcotest.test_case "dead-value elimination" `Quick test_dve;
       Alcotest.test_case "analysis-seeded folding" `Quick test_analysis_folding;
-      Alcotest.test_case "raise round trip (corpus)" `Quick test_raise_round_trip;
       Alcotest.test_case "regvm matches interp (corpus)" `Quick
         test_regvm_matches_interp;
       Alcotest.test_case "pfdev compile strategies" `Quick test_pfdev_strategies

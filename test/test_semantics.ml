@@ -207,10 +207,16 @@ let test_empty_program_edge_cases () =
   Alcotest.(check bool) "fast agrees" true (Fast.run (Fast.compile v) (Packet.of_string ""));
   Alcotest.(check bool) "closure agrees" true
     (Closure.run (Closure.compile v) (Packet.of_string ""));
-  (* Decision tree with an accept-all resident. *)
-  let tree = Decision.build [ (v, "all") ] in
-  Alcotest.(check (option string)) "tree matches accept-all" (Some "all")
-    (Decision.classify tree (Packet.of_string ""))
+  (* The dispatch automaton cannot index a filter with no guard chain: it
+     walks it as a residual, which accepts. *)
+  let d = Dispatch.build [ (v, "all") ] in
+  (match Dispatch.decisions d with
+  | [ (0, "all", Dispatch.Residual `No_chain) ] -> ()
+  | _ -> Alcotest.fail "accept-all is not a No_chain residual");
+  Alcotest.(check bool) "no indexed winner" true
+    (fst (Dispatch.classify d (Packet.of_string "")) = None);
+  Alcotest.(check (list string)) "walked as the one residual" [ "all" ]
+    (List.map snd (Dispatch.residuals d))
 
 let test_nop_insn_is_identity () =
   (* {nopush, nop} between any two instructions changes nothing. *)

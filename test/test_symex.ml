@@ -2,8 +2,8 @@
    it: path enumeration agrees with the interpreter packet by packet,
    [Equiv] proves the shipped optimizer rewrites and refutes a seeded
    miscompilation with a confirmed, engine-checked witness, and the
-   sharpened relation lets [Decision] reorder guard chains that
-   [Analysis.relate] alone cannot separate. *)
+   sharpened relation separates filters that [Analysis.relate] alone
+   cannot. *)
 
 open Pf_filter
 module Packet = Pf_pkt.Packet
@@ -207,15 +207,9 @@ let test_builtin_rewrites_certified () =
       | _ -> Alcotest.failf "%s: peephole rewrite not proved" name);
       (* regopt IR *)
       let ir, _ = Regopt.optimize v in
-      (match (Equiv.check_ir v ir).Equiv.verdict with
+      match (Equiv.check_ir v ir).Equiv.verdict with
       | Equiv.Proved_equal -> ()
-      | _ -> Alcotest.failf "%s: optimized IR not proved" name);
-      (* raise *)
-      let raised, _ = Regopt.raise_program v in
-      let vraised = validate_exn raised in
-      match (Equiv.check_programs v vraised).Equiv.verdict with
-      | Equiv.Proved_equal -> ()
-      | _ -> Alcotest.failf "%s: raised program not proved" name)
+      | _ -> Alcotest.failf "%s: optimized IR not proved" name)
     builtins
 
 (* {1 Counterexample synthesis: the seeded miscompilation}
@@ -424,56 +418,6 @@ let test_relate_coverage_gap () =
   Alcotest.check relation "Equiv.relate proves equivalence"
     Analysis.Equivalent (Equiv.relate vc vb)
 
-(* The gap matters: [Decision.build]'s equal-priority cheapest-first swap
-   fires on an [Equiv]-proven disjoint pair that [Analysis.relate] alone
-   would leave in installation order. *)
-let test_decision_reorders_via_equiv () =
-  let expensive =
-    Program.v
-      [
-        i (Action.Pushword 1);
-        i ~op:Op.Cand (Action.Pushlit 2);
-        i (Action.Pushword 3);
-        i ~op:Op.Cand (Action.Pushlit 0);
-        i (Action.Pushlit 0);
-        i (Action.Pushword 7);
-        i ~op:Op.Eq Action.Nopush;
-      ]
-  in
-  let cheap =
-    Program.v
-      [ i (Action.Pushlit 5); i (Action.Pushword 7); i ~op:Op.Eq Action.Nopush ]
-  in
-  let ve = validate_exn expensive and vc = validate_exn cheap in
-  (* operand-swapped comparisons leave no guard chains to relate *)
-  Alcotest.check relation "the pair is beyond Analysis.relate"
-    Analysis.Unknown (Analysis.relate ve vc);
-  Alcotest.check relation "but symbolically disjoint" Analysis.Disjoint
-    (Equiv.relate ve vc);
-  let tree = Decision.build [ (ve, "expensive"); (vc, "cheap") ] in
-  (* Packet satisfying the cheap filter: after the Equiv-driven swap it is
-     tried first, so only one filter runs. *)
-  let pkt = Packet.of_words [ 0; 2; 0; 0; 0; 0; 0; 5 ] in
-  let result, stats = Decision.classify_stats tree pkt in
-  Alcotest.(check (option string)) "cheap filter accepts" (Some "cheap") result;
-  Alcotest.(check int) "only the cheap filter ran" 1
-    stats.Decision.filters_run;
-  (* and the swap must not change any verdict *)
-  let seq = [ (expensive, "expensive"); (cheap, "cheap") ] in
-  let rng = Gen.Rng.make 0xD15 in
-  for _ = 1 to 200 do
-    let pkt, _ = Gen.packet rng in
-    let sequential =
-      List.find_map
-        (fun (p, name) ->
-          if Interp.accepts ~semantics:`Paper p pkt then Some name else None)
-        seq
-    in
-    Alcotest.(check (option string)) "tree verdict = sequential verdict"
-      sequential
-      (fst (Decision.classify_counted tree pkt))
-  done
-
 (* {1 Witness synthesis: solve and satisfies} *)
 
 let accept_conds program =
@@ -663,6 +607,42 @@ let test_one_bad_literal_refuted () =
           Alcotest.(check int) "shape table consulted" hits (Equiv.Memo.shape_hits memo))
         [ 2; 3 ])
 
+(* A miscompile the prover can neither prove nor refute must not ship
+   either: the UDP filter reads the IP header length through opaque
+   operators, so the wrong literal leaves path pairs undecided. The
+   compile falls back to the plain lowering, the install counts as
+   unknown, and the port accepts the DNS packet the filter accepts. *)
+let test_uncertified_compile_falls_back () =
+  let program = Predicates.udp_dst_port 53 in
+  let v = validate_exn program in
+  let dns = Testutil.ip_udp_frame ~dst_port:53 in
+  Alcotest.(check bool) "the filter accepts the DNS packet" true
+    (Interp.accepts ~semantics:`Paper program dns);
+  Fun.protect
+    ~finally:(fun () -> Regopt.For_testing.miscompile_literal := None)
+    (fun () ->
+      Regopt.For_testing.miscompile_literal := Some 53;
+      Alcotest.(check bool) "the miscompiled IR rejects it" false
+        (Ir.exec (fst (Regopt.optimize v)) dns);
+      let vm, certification =
+        Regvm.compile_certified ~memo:(Equiv.Memo.create ()) v
+      in
+      (match certification with
+      | Equiv.Uncertified _ -> ()
+      | c -> Alcotest.failf "expected uncertified, got %a" Equiv.pp_certification c);
+      Alcotest.(check bool) "fell back" true (Regvm.report vm).Regopt.fell_back;
+      Alcotest.(check bool) "the shipped IR accepts the DNS packet" true
+        (Regvm.run vm dns);
+      let pf, stats = certifying_device () in
+      Pfdev.set_compile_strategy pf `Regvm;
+      let port = Pfdev.open_port pf in
+      install_exn port program;
+      Alcotest.(check int) "pf.certify.unknown" 1
+        (Pf_sim.Stats.get stats "pf.certify.unknown");
+      ignore (Pfdev.demux pf dns : bool);
+      Alcotest.(check int) "the port accepts the DNS packet" 1
+        (Pfdev.port_accepted port))
+
 (* Admission runs before compilation: a filter the cost limit refuses is
    neither compiled nor certified nor searched, and counts nowhere. *)
 let test_refused_install_counts_nothing () =
@@ -710,8 +690,6 @@ let suite =
         test_counterexamples_confirmed_on_all_engines;
       Alcotest.test_case "Equiv.relate closes Analysis.relate gap" `Quick
         test_relate_coverage_gap;
-      Alcotest.test_case "decision tree reorders via Equiv.relate" `Quick
-        test_decision_reorders_via_equiv;
       Alcotest.test_case "solve synthesizes satisfying packets" `Quick
         test_solve_synthesizes_satisfying_packets;
       Alcotest.test_case "solve detects unsatisfiable conditions" `Quick
@@ -719,6 +697,8 @@ let suite =
       Alcotest.test_case "pfdev certifies installs" `Quick test_pfdev_certify;
       Alcotest.test_case "one-bad-literal miscompilation refuted" `Quick
         test_one_bad_literal_refuted;
+      Alcotest.test_case "unprovable miscompilation falls back" `Quick
+        test_uncertified_compile_falls_back;
       Alcotest.test_case "refused install counts nothing" `Quick
         test_refused_install_counts_nothing;
     ] )
