@@ -109,3 +109,42 @@ let arb_program_packet =
       Format.asprintf "%a@.packet: %a" Pf_filter.Program.pp (Pf_filter.Program.v insns)
         Pf_pkt.Packet.pp packet)
     QCheck.Gen.(pair gen_valid_insns gen_packet)
+
+(* §7's decision table, checked: build the dispatch automaton over the named
+   [filters], classify [packet] through it plus the rank-merged residual
+   walk, and run the plain first-match walk in rank order (priority desc,
+   then position) beside it. Returns each side's winner and the filter
+   instructions each interpreted: [(walk, walk_insns, merged, merged_insns)]. *)
+let dispatch_vs_linear filters packet =
+  let module Dispatch = Pf_filter.Dispatch in
+  let module Fast = Pf_filter.Fast in
+  let entries = List.map (fun (n, p) -> (Pf_filter.Validate.check_exn p, n)) filters in
+  let ranked =
+    List.mapi (fun i (v, n) -> (i, Fast.compile v, n)) entries
+    |> List.stable_sort (fun (i, fa, _) (j, fb, _) ->
+           match compare (Fast.priority fb) (Fast.priority fa) with
+           | 0 -> compare i j
+           | c -> c)
+    |> Array.of_list
+  in
+  let rec linear insns k =
+    if k = Array.length ranked then (None, insns)
+    else
+      let _, f, n = ranked.(k) in
+      let ok, run = Fast.run_counted f packet in
+      if ok then (Some n, insns + run) else linear (insns + run) (k + 1)
+  in
+  let d = Dispatch.build entries in
+  let winner, stats = Dispatch.classify d packet in
+  let winner_rank = match winner with Some (r, _) -> r | None -> max_int in
+  let rec merged insns = function
+    | [] -> (Option.map snd winner, insns)
+    | (rank, _) :: _ when rank > winner_rank -> (Option.map snd winner, insns)
+    | (rank, n) :: rest ->
+      let _, f, _ = ranked.(rank) in
+      let ok, run = Fast.run_counted f packet in
+      if ok then (Some n, insns + run) else merged (insns + run) rest
+  in
+  let walk, walk_insns = linear 0 0 in
+  let got, merged_insns = merged stats.Dispatch.insns (Dispatch.residuals d) in
+  (walk, walk_insns, got, merged_insns)
